@@ -102,15 +102,11 @@ def _det2(m) -> FieldElement:
     return a * d - b * c
 
 
-def _matmul2(m1, m2):
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def _matvec2(m, v):
-    (a, b), (c, d) = m
-    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+def mat_mul(m1, m2):
+    """Product of two matrices over a field, each a tuple of rows."""
+    cols = tuple(zip(*m2))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                 for row in m1)
 
 
 def _inv2(m):
@@ -240,58 +236,46 @@ class AutImages:
         return "AutImages(%s: %s)" % (self.target, self)
 
 
-def identity_images(field: FieldSpec, target: str) -> AutImages:
+def _gens(field: FieldSpec, target: str) -> tuple:
     if target == A1:
-        return AutImages(field, A1, WeylElement.x_gen(field),
-                         WeylElement.d_gen(field), validate=False)
-    X, Y = BiPoly.gens(field)
-    return AutImages(field, Z, X, Y, validate=False)
+        return WeylElement.x_gen(field), WeylElement.d_gen(field)
+    return BiPoly.gens(field)
+
+
+def identity_images(field: FieldSpec, target: str) -> AutImages:
+    return AutImages(field, target, *_gens(field, target), validate=False)
+
+
+def affine_forms(gens, matrix, translation) -> list:
+    """The images sum_j A_ij g_j + a_i of the generators g_j under the affine
+    map with matrix A and translation a."""
+    one = gens[0] ** 0
+    return [sum((g.scale(c) for g, c in zip(gens, row)), one.scale(a))
+            for row, a in zip(matrix, translation)]
 
 
 def generator_images(gen: Generator, field: FieldSpec, target: str) -> AutImages:
-    one = field.one()
-    if target == Z:
-        X, Y = BiPoly.gens(field)
-        if isinstance(gen, GenS):
-            return AutImages(field, Z, Y, -X, validate=False)
-        if isinstance(gen, GenT):
-            return AutImages(field, Z, X.scale(gen.mu), Y.scale(gen.mu.inv()),
-                             validate=False)
-        if isinstance(gen, GenGamma):
-            return AutImages(field, Z, X.scale(gen.mu), Y, validate=False)
-        if isinstance(gen, GenPhi):
-            f_xy = BiPoly(field, {(e, 0): c
-                                  for e, c in gen.payload.coeffs.items()})
-            return AutImages(field, Z, X, Y + f_xy, validate=False)
-        if isinstance(gen, GenAffine):
-            (a, b), (c, d) = gen.matrix
-            e, f = gen.translation
-            cst = BiPoly.constant
-            return AutImages(
-                field, Z,
-                X.scale(a) + Y.scale(b) + cst(field, e),
-                X.scale(c) + Y.scale(d) + cst(field, f), validate=False)
-        raise ValueError("unknown generator %r" % (gen,))
-    x = WeylElement.x_gen(field)
-    d = WeylElement.d_gen(field)
+    x, y = _gens(field, target)
     if isinstance(gen, GenS):
-        return AutImages(field, A1, d, -x, validate=False)
-    if isinstance(gen, GenT):
-        return AutImages(field, A1, x.scale(gen.mu), d.scale(gen.mu.inv()),
-                         validate=False)
-    if isinstance(gen, GenPhi):
-        return AutImages(field, A1, x,
-                         d + WeylElement.from_unipoly(gen.payload),
-                         validate=False)
-    if isinstance(gen, GenAffine):
-        (a, b), (c, d2) = gen.matrix
-        e, f = gen.translation
-        cst = WeylElement.constant
-        return AutImages(
-            field, A1,
-            x.scale(a) + d.scale(b) + cst(field, e),
-            x.scale(c) + d.scale(d2) + cst(field, f), validate=False)
-    raise ValueError("generator %r is not defined on A_1" % (gen,))
+        images = (y, -x)
+    elif isinstance(gen, GenT):
+        images = (x.scale(gen.mu), y.scale(gen.mu.inv()))
+    elif isinstance(gen, GenGamma) and target == Z:
+        images = (x.scale(gen.mu), y)
+    elif isinstance(gen, GenPhi):
+        f = gen.payload
+        if target == Z:
+            lift = BiPoly(field, {(e, 0): c for e, c in f.coeffs.items()})
+        else:
+            lift = WeylElement.from_unipoly(f)
+        images = (x, y + lift)
+    elif isinstance(gen, GenAffine):
+        images = affine_forms((x, y), gen.matrix, gen.translation)
+    elif target == Z:
+        raise ValueError("unknown generator %r" % (gen,))
+    else:
+        raise ValueError("generator %r is not defined on A_1" % (gen,))
+    return AutImages(field, target, *images, validate=False)
 
 
 def compose(a: AutImages, b: AutImages) -> AutImages:
@@ -356,8 +340,8 @@ def invert_word(word: AutWord) -> AutWord:
             out.append(GenPhi(-gen.payload))
         elif isinstance(gen, GenAffine):
             inv = _inv2(gen.matrix)
-            t = _matvec2(inv, gen.translation)
-            out.append(GenAffine(inv, (-t[0], -t[1])))
+            (t0,), (t1,) = mat_mul(inv, tuple(zip(gen.translation)))
+            out.append(GenAffine(inv, (-t0, -t1)))
         else:
             raise ValueError("unknown generator %r" % (gen,))
     return AutWord(word.field, word.target, out)

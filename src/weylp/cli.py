@@ -17,8 +17,8 @@ import sys
 
 from .autgrp import (A1, Z, NotAnAutomorphismError, compose, decompose,
                      realize)
-from .parsing import (ParseError, parse_automorphism, parse_field_spec,
-                      parse_unipoly)
+from .gfq import UsageError
+from .parsing import parse_automorphism, parse_field_spec, parse_unipoly
 from .resmap import res, res_inverse
 from .suites import SUITES, run_suite
 from .theta import theta, theta_inverse, theta_inverse_oracle
@@ -145,7 +145,7 @@ def _run(args) -> int:
         return 0
     if command == "fuzz":
         if args.count < 1:
-            raise ValueError("--count must be positive")
+            raise UsageError("--count must be positive")
         rng = random.Random(args.seed)
         report = run_suite(args.suite, spec, args.count, rng)
         _emit(args, command, spec, report.summary(),
@@ -169,20 +169,10 @@ def main(argv=None) -> int:
     except NotAnAutomorphismError as exc:
         print("error: not an automorphism: %s" % exc, file=sys.stderr)
         return 1
-    except ParseError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
+        # UsageError covers ParseError
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ZeroDivisionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        message = str(exc)
-        print("error: %s" % message, file=sys.stderr)
-        usage_markers = ("field spec", "p must be", "n must be",
-                         "modulus", "unknown suite", "--count")
-        if any(marker in message for marker in usage_markers):
-            return 2
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -23,6 +23,12 @@ MAX_DEGREE = 4
 _TABLE_LIMIT = 256
 
 
+class UsageError(ValueError):
+    """Malformed or unsupported input such as a bad field spec, an unknown
+    suite or a non-positive count, as opposed to well-formed input that gets
+    a negative verdict."""
+
+
 def _eval_mod(coeffs: Iterable[int], x: int, p: int) -> int:
     acc = 0
     for c in reversed(list(coeffs)):
@@ -226,20 +232,20 @@ class FieldSpec:
 
     def __init__(self, p: int, n: int = 1, modulus=None):
         if p not in SUPPORTED_PRIMES:
-            raise ValueError("p must be a prime in %s, got %r"
+            raise UsageError("p must be a prime in %s, got %r"
                              % (list(SUPPORTED_PRIMES), p))
         if not isinstance(n, int) or not 1 <= n <= MAX_DEGREE:
-            raise ValueError("extension degree n must be in 1..%d, got %r"
+            raise UsageError("extension degree n must be in 1..%d, got %r"
                              % (MAX_DEGREE, n))
         if modulus is None:
             modulus = default_modulus(p, n)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != n + 1:
-            raise ValueError("modulus must have degree n = %d" % n)
+            raise UsageError("modulus must have degree n = %d" % n)
         if modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
+            raise UsageError("modulus must be monic")
         if not is_irreducible(modulus, p):
-            raise ValueError("modulus %s is reducible over F_%d"
+            raise UsageError("modulus %s is reducible over F_%d"
                              % (self._mod_str(modulus), p))
         self.p = p
         self.n = n

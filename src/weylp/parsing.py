@@ -23,12 +23,12 @@ import re
 
 from .autgrp import (A1, AutImages, AutWord, GenGamma, GenPhi, GenS, GenT,
                      realize)
-from .gfq import FieldSpec
+from .gfq import FieldSpec, UsageError
 from .poly import BiPoly, PolyRing, UniPoly
 from .weyl import WeylElement
 
 
-class ParseError(ValueError):
+class ParseError(UsageError):
     def __init__(self, message: str, pos: int):
         super().__init__("%s (at position %d)" % (message, pos))
         self.pos = pos
@@ -216,35 +216,35 @@ def parse_field_spec(text: str) -> FieldSpec:
     seen = {}
     for chunk in parts:
         if "=" not in chunk:
-            raise ValueError(
+            raise UsageError(
                 "bad field spec component %r (want key=value)" % chunk)
         key, _, value = chunk.partition("=")
         key = key.strip()
         if key in seen:
-            raise ValueError("duplicate field spec key %r" % key)
+            raise UsageError("duplicate field spec key %r" % key)
         seen[key] = value.strip()
     unknown = set(seen) - {"p", "n", "mod"}
     if unknown:
-        raise ValueError("unknown field spec keys: %s" % sorted(unknown))
+        raise UsageError("unknown field spec keys: %s" % sorted(unknown))
     if "p" not in seen:
-        raise ValueError("field spec needs p=<prime>")
+        raise UsageError("field spec needs p=<prime>")
     try:
         p = int(seen["p"])
     except ValueError:
-        raise ValueError("p must be an integer, got %r" % seen["p"])
+        raise UsageError("p must be an integer, got %r" % seen["p"])
     n = 1
     if "n" in seen:
         try:
             n = int(seen["n"])
         except ValueError:
-            raise ValueError("n must be an integer, got %r" % seen["n"])
+            raise UsageError("n must be an integer, got %r" % seen["n"])
     modulus = None
     if "mod" in seen:
         prime = FieldSpec(p)
         poly = parse_unipoly(seen["mod"], prime, var="g")
         deg = poly.degree
         if deg == float("-inf"):
-            raise ValueError("modulus must be nonzero")
+            raise UsageError("modulus must be nonzero")
         modulus = tuple(poly.coefficient(e).val for e in range(int(deg) + 1))
     return FieldSpec(p, n, modulus)
 

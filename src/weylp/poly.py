@@ -1,10 +1,22 @@
 """Sparse polynomial arithmetic over a coefficient ring of characteristic p.
 
-Two shapes: UniPoly (one printing variable, exponent -> coefficient) and
-BiPoly (pairs of exponents), plus the characteristic-p tooling everything
-above is built from: divided powers d^[k] = d^k/k! via Lucas binomials (exact
-even when k! vanishes mod p), the base-p splitting K[x] = sum K[x^p] x^i,
-leading terms, and Jacobians of polynomial pairs.
+UniPoly (one printing variable, int exponent keys), BiPoly (pairs of
+exponents) and, in weyl.py, WeylElement (exponent vectors in normal order)
+are sparse maps from exponent keys to nonzero coefficients.  They share one
+private base class, _Sparse, which holds the zero-filtering constructor,
+addition, negation, scaling, powers, equality, the canonical printer and
+substitution through cached powers of the images.  Every product runs
+through one kernel, _mul_into, on int keys: tuple keys are packed into a
+single int for the duration of a product, at a bit width taken from the
+operands' largest exponents so that exponent sums never carry from one slot
+into the next, and are unpacked once at the end.  UniPoly and BiPoly hand
+the kernel their operands; WeylElement hands it the divided derivatives of
+its commutation rule.
+
+Also here is the characteristic-p tooling everything above is built from:
+divided powers d^[k] = d^k/k! via Lucas binomials (exact even when k!
+vanishes mod p), the base-p splitting K[x] = sum K[x^p] x^i, leading terms,
+and Jacobians of polynomial pairs.
 
 The coefficient ring is either a FieldSpec (elements: FieldElement) or a
 PolyRing over one (elements: UniPoly in ``t``), the latter so identities can
@@ -46,15 +58,226 @@ def falling_factorial_mod(m: int, k: int, p: int) -> int:
     return acc
 
 
-class UniPoly:
+# -- the product kernel and its key packing -----------------------------
+
+
+def _mul_into(ring, acc: dict, a: dict, b: dict) -> dict:
+    """acc += a * b for coefficient maps keyed by ints that add under
+    multiplication (exponents, or exponent vectors packed by _pack).  The
+    one loop over coefficient pairs: fields small enough to have tables
+    look products and sums up, other rings compute them."""
+    mul = getattr(ring, "_mul", None)
+    add = getattr(ring, "_add", None)
+    if len(a) > len(b):
+        a, b = b, a
+    for e1, c1 in a.items():
+        row = None if mul is None else mul[c1.val]
+        for e2, c2 in b.items():
+            e = e1 + e2
+            v = c1 * c2 if row is None else row[c2.val]
+            cur = acc.get(e)
+            if cur is not None:
+                v = cur + v if add is None else add[cur.val][v.val]
+            acc[e] = v
+    return acc
+
+
+def _width(a: dict, b: dict) -> int:
+    """Bits per slot for packing the tuple keys of a product of a and b:
+    enough for the sum of the largest exponents, so sums never carry."""
+    return (max(map(max, a)) + max(map(max, b))).bit_length()
+
+
+def _pack(coeffs: dict, width: int) -> dict:
+    """Tuple keys as ints, slot s in bits s*width .. (s+1)*width - 1."""
+    out = {}
+    for key, c in coeffs.items():
+        packed = 0
+        for e in reversed(key):
+            packed = (packed << width) | e
+        out[packed] = c
+    return out
+
+
+def _unpack(coeffs: dict, width: int, arity: int) -> dict:
+    """Inverse of _pack for keys with ``arity`` slots."""
+    mask = (1 << width) - 1
+    shifts = [s * width for s in range(arity)]
+    return {tuple((key >> s) & mask for s in shifts): c
+            for key, c in coeffs.items()}
+
+
+# -- the shared sparse base -----------------------------------------------
+
+
+class _Sparse:
+    """Map from exponent keys to nonzero coefficients in ``ring``.
+
+    A subclass stores its third constructor argument (printing variables, or
+    the rank of A_n) in the slot named by ``_SHAPE``; elements combine only
+    with elements of the same class, ring and shape.  Each subclass also
+    provides the constructors ``zero`` and ``one``, ``_names`` (printing
+    symbols, one per key slot) and ``_product``."""
+
+    __slots__ = ("ring", "coeffs")
+
+    _MISMATCH = "variable mismatch: %r vs %r"
+
+    def __init__(self, ring, coeffs: dict):
+        self.ring = ring
+        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+
+    def _shape(self):
+        return getattr(self, self._SHAPE)
+
+    def _like(self, coeffs: dict):
+        return type(self)(self.ring, coeffs, self._shape())
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self):
+        """Total degree; -inf for 0."""
+        return max((sum(k) for k in self.coeffs), default=NEG_INF)
+
+    def coefficient(self, key):
+        if not isinstance(key, int):
+            key = tuple(key)
+        return self.coeffs.get(key, self.ring.zero())
+
+    def _same_kind(self, other) -> bool:
+        return type(other) is type(self)
+
+    def _check_compatible(self, other):
+        if self.ring != other.ring:
+            raise ValueError("coefficient ring mismatch")
+        if self._shape() != other._shape():
+            raise ValueError(self._MISMATCH % (self._shape(), other._shape()))
+
+    # -- ring operations ----------------------------------------------
+
+    def __add__(self, other):
+        if not self._same_kind(other):
+            return NotImplemented
+        self._check_compatible(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            cur = out.get(k)
+            out[k] = c if cur is None else cur + c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        if not self._same_kind(other):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self._same_kind(other):
+            return self.scale(other)
+        self._check_compatible(other)
+        return self._product(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c):
+        c = self.ring.coerce(c)
+        if c.is_zero():
+            return self._like({})
+        return self._like({k: v * c for k, v in self.coeffs.items()})
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result = self.one(self.ring, self._shape())
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.ring == other.ring and self._shape() == other._shape()
+                and self.coeffs == other.coeffs)
+
+    __hash__ = None
+
+    def _substitute(self, images: list):
+        """Image under the ring homomorphism sending key slot k to
+        images[k] (elements of any algebra over the same coefficient ring,
+        e.g. polynomials or Weyl elements).  Powers of each image are
+        computed once and shared by all terms; a term multiplies its powers
+        in slot order, which matters when the images do not commute."""
+        one = images[0] ** 0
+        powers = [[one, img] for img in images]
+        result = None
+        for key in sorted(self.coeffs):
+            term = None
+            exps = (key,) if isinstance(key, int) else key
+            for cache, e in zip(powers, exps):
+                if e:
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * cache[1])
+                    term = cache[e] if term is None else term * cache[e]
+            term = (one if term is None else term) * self.coeffs[key]
+            result = term if result is None else result + term
+        return one * self.ring.zero() if result is None else result
+
+    # -- printing -------------------------------------------------------
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        names = self._names()
+        one = self.ring.one()
+        parts = []
+        for key in sorted(self.coeffs, reverse=True):
+            c = self.coeffs[key]
+            exps = (key,) if isinstance(key, int) else key
+            mono = "*".join(m for m in map(_mono_str, names, exps) if m)
+            parts.append(_format_term(str(c), c == one, mono))
+        return "+".join(parts)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+def _mono_str(var: str, e: int) -> str:
+    if e == 0:
+        return ""
+    if e == 1:
+        return var
+    return "%s^%d" % (var, e)
+
+
+def _format_term(cs: str, is_one: bool, mono: str) -> str:
+    compound = any(ch in cs for ch in "+*^")
+    if not mono:
+        return "(%s)" % cs if compound else cs
+    if is_one:
+        return mono
+    if compound:
+        return "(%s)*%s" % (cs, mono)
+    return "%s*%s" % (cs, mono)
+
+
+class UniPoly(_Sparse):
     """Sparse univariate polynomial; ``var`` is the printing symbol."""
 
-    __slots__ = ("ring", "var", "coeffs")
+    __slots__ = ("var",)
+    _SHAPE = "var"
 
     def __init__(self, ring, coeffs: dict, var: str = "x"):
-        self.ring = ring
         self.var = var
-        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
+        _Sparse.__init__(self, ring, coeffs)
 
     # -- constructors -------------------------------------------------
 
@@ -84,10 +307,10 @@ class UniPoly:
     def from_coeff_list(cls, ring, coeffs, var: str = "x") -> "UniPoly":
         return cls(ring, {e: ring.coerce(c) for e, c in enumerate(coeffs)}, var)
 
-    # -- structure ----------------------------------------------------
+    def _names(self) -> list[str]:
+        return [self.var]
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    # -- structure ----------------------------------------------------
 
     @property
     def degree(self):
@@ -100,104 +323,21 @@ class UniPoly:
         d = max(self.coeffs)
         return d, self.coeffs[d]
 
-    def coefficient(self, e: int):
-        return self.coeffs.get(e, self.ring.zero())
-
-    def _check_compatible(self, other: "UniPoly"):
-        if self.ring != other.ring:
-            raise ValueError("coefficient ring mismatch")
-        if self.var != other.var:
-            raise ValueError(
-                "variable mismatch: %r vs %r" % (self.var, other.var))
-
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, UniPoly) or not self._same_kind(other):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return UniPoly(self.ring, out, self.var)
+    # bound in the class body: bench/tracer.py wraps the methods it finds
+    # in each class's own __dict__
+    __add__ = _Sparse.__add__
+    __mul__ = _Sparse.__mul__
 
-    def __neg__(self):
-        return UniPoly(self.ring, {e: -c for e, c in self.coeffs.items()},
-                       self.var)
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly) or not self._same_kind(other):
-            return NotImplemented
-        return self + (-other)
-
-    def _same_kind(self, other: "UniPoly") -> bool:
+    def _same_kind(self, other) -> bool:
         # distinguishes an actual polynomial in our variable from a
         # coefficient value when the coefficient ring is itself PolyRing
-        if isinstance(self.ring, PolyRing) and other.var == self.ring.var:
-            return False
-        return True
+        return type(other) is UniPoly and not (
+            isinstance(self.ring, PolyRing) and other.var == self.ring.var)
 
-    def __mul__(self, other):
-        if isinstance(other, UniPoly) and self._same_kind(other):
-            self._check_compatible(other)
-            return self._mul_poly(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def _mul_poly(self, other: "UniPoly") -> "UniPoly":
-        ring = self.ring
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict = {}
-        mt = getattr(ring, "_mul", None)
-        if mt is not None:
-            at = ring._add
-            for e1, c1 in a.items():
-                row = mt[c1.val]
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    v = row[c2.val]
-                    cur = acc.get(e)
-                    acc[e] = v if cur is None else at[cur.val][v.val]
-        else:
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    v = c1 * c2
-                    cur = acc.get(e)
-                    acc[e] = v if cur is None else cur + v
-        return UniPoly(ring, acc, self.var)
-
-    def scale(self, c) -> "UniPoly":
-        c = self.ring.coerce(c)
-        if c.is_zero():
-            return UniPoly.zero(self.ring, self.var)
-        return UniPoly(self.ring, {e: v * c for e, v in self.coeffs.items()},
-                       self.var)
-
-    def __pow__(self, k: int) -> "UniPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = UniPoly.one(self.ring, self.var)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return (self.ring == other.ring and self.var == other.var
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
+    def _product(self, other: "UniPoly") -> "UniPoly":
+        return self._like(_mul_into(self.ring, {}, self.coeffs, other.coeffs))
 
     # -- calculus and base-p structure ----------------------------------
 
@@ -272,66 +412,18 @@ class UniPoly:
     def substitute(self, value):
         """Evaluate at ``value`` (any element of an algebra over the same
         coefficient ring, e.g. a polynomial or Weyl element)."""
-        powers = {0: value ** 0}
-        result = None
-        for e in sorted(self.coeffs):
-            if e not in powers:
-                prev = max(k for k in powers if k <= e)
-                acc = powers[prev]
-                for k in range(prev + 1, e + 1):
-                    acc = acc * value
-                    powers[k] = acc
-            term = powers[e] * self.coeffs[e]
-            result = term if result is None else result + term
-        if result is None:
-            return (value ** 0) * self.ring.zero()
-        return result
-
-    # -- printing -------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        one = self.ring.one()
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            parts.append(_format_term(str(c), c == one,
-                                      _mono_str(self.var, e)))
-        return "+".join(parts)
-
-    def __repr__(self) -> str:
-        return "UniPoly(%s)" % self
+        return self._substitute([value])
 
 
-def _mono_str(var: str, e: int) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return var
-    return "%s^%d" % (var, e)
-
-
-def _format_term(cs: str, is_one: bool, mono: str) -> str:
-    compound = any(ch in cs for ch in "+*^")
-    if not mono:
-        return "(%s)" % cs if compound else cs
-    if is_one:
-        return mono
-    if compound:
-        return "(%s)*%s" % (cs, mono)
-    return "%s*%s" % (cs, mono)
-
-
-class BiPoly:
+class BiPoly(_Sparse):
     """Sparse polynomial in two commuting variables."""
 
-    __slots__ = ("ring", "vars", "coeffs")
+    __slots__ = ("vars",)
+    _SHAPE = "vars"
 
     def __init__(self, ring, coeffs: dict, vars: tuple[str, str] = ("X", "Y")):
-        self.ring = ring
         self.vars = tuple(vars)
-        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+        _Sparse.__init__(self, ring, coeffs)
 
     @classmethod
     def zero(cls, ring, vars=("X", "Y")) -> "BiPoly":
@@ -350,16 +442,8 @@ class BiPoly:
         one = ring.one()
         return (cls(ring, {(1, 0): one}, vars), cls(ring, {(0, 1): one}, vars))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        """Total degree; -inf for 0."""
-        return max((i + j for i, j in self.coeffs), default=NEG_INF)
-
-    def coefficient(self, key):
-        return self.coeffs.get(tuple(key), self.ring.zero())
+    def _names(self) -> tuple:
+        return self.vars
 
     def leading_form(self) -> "BiPoly":
         """Homogeneous component of top total degree."""
@@ -370,89 +454,16 @@ class BiPoly:
                       {k: c for k, c in self.coeffs.items() if sum(k) == d},
                       self.vars)
 
-    def _check_compatible(self, other: "BiPoly"):
-        if self.ring != other.ring:
-            raise ValueError("coefficient ring mismatch")
-        if self.vars != other.vars:
-            raise ValueError(
-                "variable mismatch: %r vs %r" % (self.vars, other.vars))
+    __add__ = _Sparse.__add__
+    __mul__ = _Sparse.__mul__
 
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
-        return BiPoly(self.ring, out, self.vars)
-
-    def __neg__(self):
-        return BiPoly(self.ring, {k: -c for k, c in self.coeffs.items()},
-                      self.vars)
-
-    def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, BiPoly):
-            return self.scale(other)
-        self._check_compatible(other)
-        ring = self.ring
+    def _product(self, other: "BiPoly") -> "BiPoly":
         a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict = {}
-        mt = getattr(ring, "_mul", None)
-        if mt is not None:
-            at = ring._add
-            for (i1, j1), c1 in a.items():
-                row = mt[c1.val]
-                for (i2, j2), c2 in b.items():
-                    k = (i1 + i2, j1 + j2)
-                    v = row[c2.val]
-                    cur = acc.get(k)
-                    acc[k] = v if cur is None else at[cur.val][v.val]
-        else:
-            for (i1, j1), c1 in a.items():
-                for (i2, j2), c2 in b.items():
-                    k = (i1 + i2, j1 + j2)
-                    v = c1 * c2
-                    cur = acc.get(k)
-                    acc[k] = v if cur is None else cur + v
-        return BiPoly(ring, acc, self.vars)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "BiPoly":
-        c = self.ring.coerce(c)
-        if c.is_zero():
-            return BiPoly.zero(self.ring, self.vars)
-        return BiPoly(self.ring, {k: v * c for k, v in self.coeffs.items()},
-                      self.vars)
-
-    def __pow__(self, k: int) -> "BiPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = BiPoly.one(self.ring, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return (self.ring == other.ring and self.vars == other.vars
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
+        if not a or not b:
+            return self._like({})
+        w = _width(a, b)
+        acc = _mul_into(self.ring, {}, _pack(a, w), _pack(b, w))
+        return self._like(_unpack(acc, w, 2))
 
     def derivative(self, axis: int, k: int = 1) -> "BiPoly":
         """k-th formal partial derivative along axis 0 or 1."""
@@ -471,41 +482,7 @@ class BiPoly:
 
     def substitute(self, img0, img1):
         """Ring homomorphism sending the two variables to img0, img1."""
-        pow0: dict = {0: img0 ** 0}
-        pow1: dict = {0: img1 ** 0}
-
-        def power(cache, base, e):
-            if e not in cache:
-                prev = max(k for k in cache if k <= e)
-                acc = cache[prev]
-                for _ in range(prev + 1, e + 1):
-                    acc = acc * base
-                cache[e] = acc
-            return cache[e]
-
-        result = None
-        for (i, j) in sorted(self.coeffs):
-            term = power(pow0, img0, i) * power(pow1, img1, j)
-            term = term * self.coeffs[(i, j)]
-            result = term if result is None else result + term
-        if result is None:
-            return (img0 ** 0) * self.ring.zero()
-        return result
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        one = self.ring.one()
-        parts = []
-        for key in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[key]
-            mono = "*".join(m for m in (_mono_str(self.vars[0], key[0]),
-                                        _mono_str(self.vars[1], key[1])) if m)
-            parts.append(_format_term(str(c), c == one, mono))
-        return "+".join(parts)
-
-    def __repr__(self) -> str:
-        return "BiPoly(%s)" % self
+        return self._substitute([img0, img1])
 
 
 def jacobian(P: BiPoly, Q: BiPoly) -> BiPoly:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autgrp import (A1, Z, AutImages, AutWord, GenGamma, GenPhi, GenS, GenT,
-                     decompose, in_gamma, realize)
+from .autgrp import (A1, Z, AutImages, AutWord, GenAffine, GenGamma, GenPhi,
+                     GenS, GenT, affine_forms, decompose, generator_images,
+                     in_gamma, mat_mul, realize)
 from .gfq import FieldElement, FieldSpec
 from .poly import BiPoly, UniPoly
 from .weyl import WeylElement
@@ -63,26 +64,15 @@ def res(a: AutImages) -> ResResult:
 def a1_affine_images(field: FieldSpec, matrix, translation) -> AutImages:
     """The affine A_1 automorphism (x, d) -> A (x, d)^T + a; det A must be 1."""
     (a, b), (c, d) = matrix
-    e, f = translation
-    one = field.one()
-    if a * d - b * c != one:
+    if a * d - b * c != field.one():
         raise ValueError("affine matrices on A_1 must have determinant 1")
-    x = WeylElement.x_gen(field)
-    dd = WeylElement.d_gen(field)
-    cst = WeylElement.constant
-    return AutImages(field, A1,
-                     x.scale(a) + dd.scale(b) + cst(field, e),
-                     x.scale(c) + dd.scale(d) + cst(field, f))
+    return generator_images(GenAffine(matrix, translation), field,
+                            A1).validate()
 
 
 def z_affine_images(field: FieldSpec, matrix, translation) -> AutImages:
-    (a, b), (c, d) = matrix
-    e, f = translation
-    X, Y = BiPoly.gens(field)
-    cst = BiPoly.constant
-    return AutImages(field, Z,
-                     X.scale(a) + Y.scale(b) + cst(field, e),
-                     X.scale(c) + Y.scale(d) + cst(field, f))
+    return generator_images(GenAffine(matrix, translation), field,
+                            Z).validate()
 
 
 def res_affine(field: FieldSpec, matrix, translation) -> AutImages:
@@ -119,12 +109,6 @@ def _to_X(g: UniPoly) -> UniPoly:
     return UniPoly(g.ring, out, "X")
 
 
-def _to_x(f: UniPoly) -> UniPoly:
-    """Rewrite a polynomial in X as the polynomial in x it stands for."""
-    p = f.ring.characteristic
-    return UniPoly(f.ring, {e * p: c for e, c in f.coeffs.items()}, "x")
-
-
 def res_inverse(g: AutImages) -> AutImages:
     """Preimage of a jacobian-1 centre automorphism under res: decompose,
     map t_nu -> t_{nu^{1/p}}, phi_f -> phi_{theta^{-1}(f)}, s -> s, realize
@@ -143,7 +127,7 @@ def res_inverse(g: AutImages) -> AutImages:
         elif isinstance(gen, GenT):
             gens.append(GenT(gen.mu.inv_frobenius()))
         elif isinstance(gen, GenPhi):
-            gens.append(GenPhi(theta_inverse(_to_x(gen.payload))))
+            gens.append(GenPhi(theta_inverse(gen.payload.expand_inner("x"))))
         elif isinstance(gen, GenGamma):
             raise AssertionError("gamma in a jacobian-1 decomposition")
         else:
@@ -167,33 +151,13 @@ def symplectic_form(field: FieldSpec, n: int = 2):
     return tuple(tuple(row) for row in form)
 
 
-def _mat_mul(m1, m2, field):
-    size = len(m1)
-    zero = field.zero()
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = zero
-            for k in range(size):
-                acc = acc + m1[i][k] * m2[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _transpose(m):
-    return tuple(tuple(m[j][i] for j in range(len(m))) for i in range(len(m)))
-
-
 def is_symplectic(matrix, field: FieldSpec) -> bool:
     """A^T J A = J for the commutator form J."""
     n2 = len(matrix)
     if n2 % 2 or any(len(row) != n2 for row in matrix):
         return False
     form = symplectic_form(field, n2 // 2)
-    return _mat_mul(_mat_mul(_transpose(matrix), form, field),
-                    matrix, field) == form
+    return mat_mul(mat_mul(tuple(zip(*matrix)), form), matrix) == form
 
 
 def res_n_affine(field: FieldSpec, matrix, translation):
@@ -237,10 +201,7 @@ def res_n_affine_bruteforce(field: FieldSpec, matrix, translation):
             + [WeylElement.d_gen(field, a, n) for a in range(n)])
     rows = []
     trans = []
-    for i in range(size):
-        w = WeylElement.constant(field, translation[i], n)
-        for j in range(size):
-            w = w + gens[j].scale(matrix[i][j])
+    for w in affine_forms(gens, matrix, translation):
         wp = w ** p
         if not wp.is_central():
             raise AssertionError("p-th power of an affine image not central")

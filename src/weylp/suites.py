@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .autgrp import (A1, Z, AutWord, GenGamma, GenPhi, GenS, GenT,
-                     in_gamma, realize)
-from .gfq import FieldSpec
+                     in_gamma, mat_mul, realize)
+from .gfq import FieldSpec, UsageError
 from .poly import BiPoly, PolyRing, UniPoly
 from .resmap import (a1_affine_images, is_symplectic, res, res_affine,
                      res_inverse, res_n_affine, res_n_affine_bruteforce)
@@ -101,16 +101,8 @@ def random_sl2(rng, spec: FieldSpec):
         else:
             mu = spec.random_nonzero(rng)
             g = ((mu, zero), (zero, mu.inv()))
-        m = ((m[0][0] * g[0][0] + m[0][1] * g[1][0],
-              m[0][0] * g[0][1] + m[0][1] * g[1][1]),
-             (m[1][0] * g[0][0] + m[1][1] * g[1][0],
-              m[1][0] * g[0][1] + m[1][1] * g[1][1]))
+        m = mat_mul(m, g)
     return m
-
-
-def _mat_mul4(m1, m2, spec):
-    return tuple(tuple(sum((m1[i][k] * m2[k][j] for k in range(4)),
-                           spec.zero()) for j in range(4)) for i in range(4))
 
 
 def random_symplectic4(rng, spec: FieldSpec, force_correction: bool = False):
@@ -140,7 +132,7 @@ def random_symplectic4(rng, spec: FieldSpec, force_correction: bool = False):
             (a, b), (c, d) = random_sl2(rng, spec)
             g = ((a, b, zero, zero), (c, d, zero, zero),
                  (zero, zero, d, -c), (zero, zero, -b, a))
-        m = _mat_mul4(m, g, spec)
+        m = mat_mul(m, g)
     return m
 
 
@@ -313,6 +305,6 @@ def run_suite(name: str, spec: FieldSpec, count: int, rng) -> SuiteReport:
     try:
         fn = SUITES[name]
     except KeyError:
-        raise ValueError("unknown suite %r (choose from %s)"
+        raise UsageError("unknown suite %r (choose from %s)"
                          % (name, ", ".join(sorted(SUITES))))
     return fn(spec, count, rng)

@@ -10,8 +10,13 @@ computed through the closed commutation rule
 
 evaluated in aggregate as  A*B = sum_{k < p} k! * (d/d_xi)^[k]A * (d/dx)^[k]B
 over commutative normal symbols (binom(j,k)*binom(i,k)*k! equals the falling
-factorial form, and k! kills every k >= p).  A term-by-term rewriting
-multiplier lives in the test suite as an independent oracle for this routine.
+factorial form, and k! kills every k >= p).  Both operands are packed once
+into int keys (poly._pack); each k takes divided derivatives on the packed
+keys and hands the pair to the shared product kernel poly._mul_into, which
+accumulates every k into one map that is unpacked at the end.  Everything
+else (addition, scaling, equality, printing, substitution) is the shared
+sparse base of poly.py.  A term-by-term rewriting multiplier lives in the
+test suite as an independent oracle for this routine.
 
 The module also hosts the brute-force checks of the p-th power identity
 (d + f)^p = d^p + f^{(p-1)} + f^p, in A_1 over fields and over K[t], and its
@@ -22,22 +27,22 @@ from __future__ import annotations
 
 from itertools import product as _iterproduct
 
-from .poly import BiPoly, UniPoly, lucas_binomial
+from .poly import (BiPoly, UniPoly, _mul_into, _pack, _Sparse, _unpack,
+                   _width, lucas_binomial)
 
-NEG_INF = float("-inf")
 
-
-class WeylElement:
+class WeylElement(_Sparse):
     """Normal-form element of A_n; keys are (i_1..i_n, j_1..j_n)."""
 
-    __slots__ = ("ring", "n", "coeffs")
+    __slots__ = ("n",)
+    _SHAPE = "n"
+    _MISMATCH = "mixing A_%d and A_%d"
 
     def __init__(self, ring, coeffs: dict, n: int = 1):
         if n not in (1, 2):
             raise ValueError("only A_1 and A_2 are supported")
-        self.ring = ring
         self.n = n
-        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+        _Sparse.__init__(self, ring, coeffs)
 
     # -- constructors ---------------------------------------------------
 
@@ -83,140 +88,58 @@ class WeylElement:
         return cls(f.ring,
                    {(i, j, 0, 0): c for (i, j), c in f.coeffs.items()}, 2)
 
-    # -- structure --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        """Total degree in all generators; -inf for 0."""
-        return max((sum(k) for k in self.coeffs), default=NEG_INF)
-
-    def coefficient(self, key):
-        return self.coeffs.get(tuple(key), self.ring.zero())
-
-    def _check_compatible(self, other: "WeylElement"):
-        if self.ring != other.ring:
-            raise ValueError("coefficient ring mismatch")
-        if self.n != other.n:
-            raise ValueError("mixing A_%d and A_%d" % (self.n, other.n))
-
-    # -- additive operations ----------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
-        return WeylElement(self.ring, out, self.n)
-
-    def __neg__(self):
-        return WeylElement(self.ring, {k: -c for k, c in self.coeffs.items()},
-                           self.n)
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "WeylElement":
-        c = self.ring.coerce(c)
-        if c.is_zero():
-            return WeylElement.zero(self.ring, self.n)
-        return WeylElement(self.ring,
-                           {k: v * c for k, v in self.coeffs.items()}, self.n)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    def _names(self) -> list[str]:
+        if self.n == 1:
+            return ["x", "d"]
+        return ["x1", "x2", "d1", "d2"]
 
     # -- multiplication -----------------------------------------------------
 
-    def _divided_derivative(self, k: tuple, on_x: bool) -> dict:
-        """Divided partial derivative d^[k] in the x-block (on_x) or d-block
-        of the normal symbol; drops terms whose Lucas binomial vanishes."""
-        p = self.ring.characteristic
-        n = self.n
-        off = 0 if on_x else n
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            factor = 1
-            new = list(key)
-            ok = True
-            for a in range(n):
-                ka = k[a]
-                if ka == 0:
-                    continue
-                e = key[off + a]
-                b = lucas_binomial(e, ka, p)
-                if b == 0:
-                    ok = False
-                    break
-                factor = (factor * b) % p
-                new[off + a] = e - ka
-            if not ok or factor == 0:
-                continue
-            v = c * factor if factor != 1 else c
-            nk = tuple(new)
-            cur = out.get(nk)
-            out[nk] = v if cur is None else cur + v
-        return out
+    # bound in the class body: bench/tracer.py wraps the methods it finds
+    # in each class's own __dict__
+    __mul__ = _Sparse.__mul__
 
-    def __mul__(self, other):
-        if not isinstance(other, WeylElement):
-            return self.scale(other)
-        self._check_compatible(other)
+    def _product(self, other: "WeylElement") -> "WeylElement":
         ring = self.ring
         p = ring.characteristic
         n = self.n
-        if not self.coeffs or not other.coeffs:
-            return WeylElement.zero(ring, n)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return self._like({})
         # per-axis caps: self only differentiates in d's, other in x's
-        max_j = [max(k[n + a] for k in self.coeffs) for a in range(n)]
-        max_i = [max(k[a] for k in other.coeffs) for a in range(n)]
-        caps = [min(p - 1, max_j[a], max_i[a]) for a in range(n)]
+        caps = [min(p - 1, max(k[n + s] for k in a), max(k[s] for k in b))
+                for s in range(n)]
         fact = [1] * p
         for m in range(2, p):
             fact[m] = (fact[m - 1] * m) % p
+        w = _width(a, b)
+        a, b = _pack(a, w), _pack(b, w)
         acc: dict = {}
-        mt = getattr(ring, "_mul", None)
-        at = getattr(ring, "_add", None)
         for k in _iterproduct(*(range(c + 1) for c in caps)):
-            scalar = 1
-            for a in range(n):
-                scalar = (scalar * fact[k[a]]) % p
-            if scalar == 0:
-                continue
-            A = self._divided_derivative(k, on_x=False)
+            A = _divided_derivative(
+                a, [((n + s) * w, k[s]) for s in range(n) if k[s]], w, p)
             if not A:
                 continue
-            B = other._divided_derivative(k, on_x=True)
+            B = _divided_derivative(
+                b, [(s * w, k[s]) for s in range(n) if k[s]], w, p)
             if not B:
                 continue
+            # k! with every k_s < p, hence a unit mod p
+            scalar = 1
+            for s in range(n):
+                scalar = (scalar * fact[k[s]]) % p
             if scalar != 1:
                 sc = ring.from_int(scalar)
                 A = {key: c * sc for key, c in A.items()}
-            if mt is not None:
-                for k1, c1 in A.items():
-                    row = mt[c1.val]
-                    for k2, c2 in B.items():
-                        key = tuple(a + b for a, b in zip(k1, k2))
-                        v = row[c2.val]
-                        cur = acc.get(key)
-                        acc[key] = v if cur is None else at[cur.val][v.val]
-            else:
-                for k1, c1 in A.items():
-                    for k2, c2 in B.items():
-                        key = tuple(a + b for a, b in zip(k1, k2))
-                        v = c1 * c2
-                        cur = acc.get(key)
-                        acc[key] = v if cur is None else cur + v
-        return WeylElement(ring, acc, n)
+            _mul_into(ring, acc, A, B)
+        return self._like(_unpack(acc, w, 2 * n))
 
     def __pow__(self, k: int) -> "WeylElement":
+        # repeated multiplication, not the base's square-and-multiply: a
+        # step a^k * a costs |a^k| |a| term pairs, a square |a^k|^2.  On
+        # the sparse images res raises to the p-th power, squaring made a
+        # pass of the benchmark's restriction workload 1.8x slower (1.03 s
+        # to 1.88 s, seed 1, 2-vCPU Xeon)
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = WeylElement.one(self.ring, self.n)
@@ -226,14 +149,6 @@ class WeylElement:
 
     def commutator(self, other: "WeylElement") -> "WeylElement":
         return self * other - other * self
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return (self.ring == other.ring and self.n == other.n
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
 
     # -- centre ---------------------------------------------------------
 
@@ -269,56 +184,29 @@ class WeylElement:
         (x-generators first, then d-generators)."""
         if len(images) != 2 * self.n:
             raise ValueError("need %d generator images" % (2 * self.n))
-        caches = [{0: WeylElement.one(img.ring, img.n)} for img in images]
+        return self._substitute(images)
 
-        def power(idx, e):
-            cache = caches[idx]
-            if e not in cache:
-                prev = max(k for k in cache if k <= e)
-                acc = cache[prev]
-                for _ in range(prev + 1, e + 1):
-                    acc = acc * images[idx]
-                cache[e] = acc
-            return cache[e]
 
-        result = None
-        for key in sorted(self.coeffs):
-            term = None
-            for idx, e in enumerate(key):
-                if e:
-                    pw = power(idx, e)
-                    term = pw if term is None else term * pw
-            if term is None:
-                term = WeylElement.one(images[0].ring, images[0].n)
-            term = term.scale(self.coeffs[key])
-            result = term if result is None else result + term
-        if result is None:
-            return WeylElement.zero(images[0].ring, images[0].n)
-        return result
-
-    # -- printing ---------------------------------------------------------
-
-    def _var_names(self) -> list[str]:
-        if self.n == 1:
-            return ["x", "d"]
-        return ["x1", "x2", "d1", "d2"]
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        from .poly import _format_term, _mono_str
-        names = self._var_names()
-        one = self.ring.one()
-        parts = []
-        for key in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[key]
-            mono = "*".join(m for m in (_mono_str(v, e)
-                                        for v, e in zip(names, key)) if m)
-            parts.append(_format_term(str(c), c == one, mono))
-        return "+".join(parts)
-
-    def __repr__(self) -> str:
-        return "WeylElement(%s)" % self
+def _divided_derivative(coeffs: dict, orders: list, width: int,
+                        p: int) -> dict:
+    """The divided partial derivative prod_s d^[k_s] of a normal symbol
+    with packed keys; ``orders`` lists (bit offset of slot s, k_s) for the
+    slots with k_s > 0.  Terms whose Lucas binomial vanishes drop out; the
+    others keep distinct keys."""
+    if not orders:
+        return coeffs
+    mask = (1 << width) - 1
+    out = {}
+    for key, c in coeffs.items():
+        factor = 1
+        for shift, k in orders:
+            factor = factor * lucas_binomial((key >> shift) & mask, k, p) % p
+            if not factor:
+                break
+            key -= k << shift
+        else:
+            out[key] = c * factor if factor != 1 else c
+    return out
 
 
 def verify_pth_power_identity(f: UniPoly) -> bool:

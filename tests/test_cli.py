@@ -109,6 +109,25 @@ class TestExitCodes:
         assert code == 1
         assert "divisible" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["theta", "--field", "p=2,p=3", "x"], "duplicate field spec key"),
+        (["theta", "--field", "p=2,q=3", "x"], "unknown field spec keys"),
+        (["theta", "--field", "p=2,n=2,mod=g^2+1", "x"], "is reducible"),
+        (["fuzz", "nosuch", "--field", "p=2"], "unknown suite"),
+        (["fuzz", "thm17", "--field", "p=2", "--count", "0"],
+         "--count must be positive"),
+    ], ids=["duplicate-key", "unknown-key", "reducible-modulus",
+            "unknown-suite", "count-zero"])
+    def test_usage_error_exit_2(self, argv, message, capsys):
+        code, out, err = self.run(argv, capsys)
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_domain_error_zero_scaling(self, capsys):
+        code, out, err = self.run(["res", "--field", "p=2", "t[0]"], capsys)
+        assert code == 1 and out == ""
+        assert "scaling payload must be nonzero" in err
+
     def test_fuzz_reproducible(self, capsys):
         argv = ["fuzz", "thm17", "--field", "p=3", "--count", "7",
                 "--seed", "99"]

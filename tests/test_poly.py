@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylp import (BiPoly, FieldSpec, PolyRing, UniPoly, jacobian,
-                   lucas_binomial, p_recompose)
+from weylp import (BiPoly, FieldSpec, PolyRing, UniPoly, WeylElement,
+                   jacobian, lucas_binomial, p_recompose)
 
 from helpers import random_unipoly_exact
 
@@ -27,6 +27,15 @@ def rand_bipoly(rng, spec, max_deg, vars=("X", "Y")):
         key = (rng.randint(0, max_deg), rng.randint(0, max_deg))
         coeffs[key] = spec.random_element(rng)
     return BiPoly(spec, coeffs, vars)
+
+
+def naive_bipoly_mul(a, b):
+    """Term-by-term product built from monomials and addition only."""
+    acc = BiPoly.zero(a.ring, a.vars)
+    for (i1, j1), c1 in a.coeffs.items():
+        for (i2, j2), c2 in b.coeffs.items():
+            acc = acc + BiPoly(a.ring, {(i1 + i2, j1 + j2): c1 * c2}, a.vars)
+    return acc
 
 
 class TestLucas:
@@ -73,6 +82,33 @@ class TestRingOps:
         prod_big = a_b * b_b
         assert {e: c.val for e, c in prod_small.coeffs.items()} == \
             {e: c.val for e, c in prod_big.coeffs.items()}
+
+    def test_bipoly_and_weyl_mul_match_nontable_path(self):
+        big = FieldSpec(13, 3)  # no tables
+        small = FieldSpec(13)   # tables
+        rng = random.Random(11)
+
+        def lift(value, shape):
+            return type(value)(big, {k: big.element(c.coeffs + (0, 0))
+                                     for k, c in value.coeffs.items()},
+                               shape)
+
+        def vals(value):
+            return {k: c.val for k, c in value.coeffs.items()}
+
+        a = rand_bipoly(rng, small, 7)
+        b = rand_bipoly(rng, small, 7)
+        assert vals(a * b) == vals(lift(a, a.vars) * lift(b, b.vars))
+        for n in (1, 2):
+            v = WeylElement(small, {tuple(rng.randint(0, 7)
+                                          for _ in range(2 * n)):
+                                    small.random_element(rng)
+                                    for _ in range(6)}, n)
+            w = WeylElement(small, {tuple(rng.randint(0, 7)
+                                          for _ in range(2 * n)):
+                                    small.random_element(rng)
+                                    for _ in range(6)}, n)
+            assert vals(v * w) == vals(lift(v, n) * lift(w, n))
 
     def test_var_mismatch_rejected(self):
         x = UniPoly.variable(F2, "x")
@@ -205,6 +241,21 @@ class TestBiPoly:
                 lhs_expected = jacobian(a.img_x, a.img_y) * \
                     jb.substitute(a.img_x, a.img_y)
                 assert lhs == lhs_expected
+
+    def test_mul_packed_keys_do_not_carry(self):
+        # exponents 2^k - 1 fill every bit of their slot, so a packing width
+        # too narrow for the sums would carry into the neighbouring slot
+        rng = random.Random(12)
+        for spec in (F2, F3, F4):
+            for k in (1, 2, 3, 4, 6):
+                top = 2 ** k - 1
+                a = BiPoly(spec, {key: spec.random_nonzero(rng) for key in
+                                  ((0, 0), (top, 0), (0, top), (top, top))})
+                b = BiPoly(spec, {key: spec.random_nonzero(rng) for key in
+                                  ((0, 0), (top, 0), (0, top), (top, top),
+                                   (1, 1), (1, 0), (0, 1))})
+                assert a * b == naive_bipoly_mul(a, b)
+                assert b * b == naive_bipoly_mul(b, b)
 
     def test_derivative(self):
         X, Y = BiPoly.gens(F3)

@@ -22,6 +22,17 @@ def rand_weyl(rng, spec, n=1, terms=5, max_exp=5):
     return WeylElement(spec, coeffs, n)
 
 
+def full_slots_weyl(rng, spec, k, n=1):
+    """Every exponent vector with entries 0 or 2^k - 1, nonzero random
+    coefficients."""
+    top = 2 ** k - 1
+    keys = [()]
+    for _ in range(2 * n):
+        keys = [key + (e,) for key in keys for e in (0, top)]
+    return WeylElement(spec, {key: spec.random_nonzero(rng) for key in keys},
+                       n)
+
+
 class TestMul:
     def test_defining_relation(self):
         for spec in (F2, F3, F5, F4):
@@ -76,6 +87,39 @@ class TestMul:
             lift = lambda w: WeylElement(
                 F3, {(i, 0, j, 0): c for (i, j), c in w.coeffs.items()}, 2)
             assert lift(a1) * lift(b1) == lift(a1 * b1)
+
+    def test_packed_keys_do_not_carry(self):
+        # exponents 2^k - 1 fill every bit of their slot, so a packing width
+        # too narrow for the sums would carry into the neighbouring slot
+        rng = random.Random(43)
+        for spec in (F2, F3, F5, F4):
+            for k in (1, 2, 3, 4, 5):
+                a = full_slots_weyl(rng, spec, k)
+                b = full_slots_weyl(rng, spec, k)
+                unit = full_slots_weyl(rng, spec, 1)
+                assert a * b == mul_by_rewriting(a, b)
+                assert a * unit == mul_by_rewriting(a, unit)
+                assert unit * a == mul_by_rewriting(unit, a)
+
+    def test_packed_keys_do_not_carry_a2(self):
+        rng = random.Random(47)
+        for spec in (F2, F3):
+            for k in (1, 2, 3):
+                a, b = (full_slots_weyl(rng, spec, k, n=2) for _ in range(2))
+                c = full_slots_weyl(rng, spec, 1, n=2)
+                assert (a * b) * c == a * (b * c)
+                assert (c * a) * b == c * (a * b)
+
+    def test_packed_keys_do_not_carry_over_polynomial_ring(self):
+        ring = PolyRing(F3)
+        t = ring.gen()
+        top = 2 ** 3 - 1
+        a = WeylElement(ring, {(top, top): t, (top, 0): ring.one(),
+                               (0, top): t + ring.one(), (1, 1): t ** 2}, 1)
+        b = WeylElement(ring, {(top, top): ring.one(), (1, 0): t,
+                               (0, 1): ring.from_int(2)}, 1)
+        assert a * b == mul_by_rewriting(a, b)
+        assert b * a == mul_by_rewriting(b, a)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
