@@ -8,12 +8,16 @@ root, computed as a -> a^{p^{n-1}} (since a^{p^n} = a).
 
 Each FieldSpec interns all q = p^n of its elements at construction time and,
 for small q, precomputes addition/multiplication tables; arithmetic then only
-ever hands out interned values, so equal elements are identical objects and
-the polynomial layers above can run hot loops over them cheaply.
+ever hands out interned values, so equal elements are identical objects.
+Inside a polynomial or Weyl product the elements are replaced by int codes
+(FieldCodec, built on a FieldSpec's first product) that are added and
+multiplied as plain ints and reduced once at the end of the product.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from math import comb
 from typing import Iterable, Iterator
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -21,6 +25,10 @@ MAX_DEGREE = 4
 
 # add/mul lookup tables are built when q <= this; beyond it ops are computed
 _TABLE_LIMIT = 256
+
+# bits per coordinate in the int code of an element of F_{p^n}, n > 1
+CODE_STRIDE = 64
+_CODE_MASK = (1 << CODE_STRIDE) - 1
 
 
 class UsageError(ValueError):
@@ -281,6 +289,12 @@ class FieldSpec:
     def characteristic(self) -> int:
         return self.p
 
+    @cached_property
+    def codec(self) -> "FieldCodec":
+        """Int codes of the elements for the product kernel; built on first
+        use and kept on this FieldSpec."""
+        return FieldCodec(self)
+
     def _unpack(self, val: int) -> tuple[int, ...]:
         p = self.p
         out = []
@@ -400,3 +414,117 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return "FieldSpec(%s)" % self
+
+
+class Codec:
+    """What the product kernels need of a coefficient ring of characteristic
+    p besides its codes: binom(m, k) mod p for m, k < p and k! mod p for
+    k < p.  A Weyl product only takes divided derivatives of orders k < p,
+    and for those Lucas' theorem gives binom(m, k) = binom(m mod p, k) mod p.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.binom = [[comb(m, k) % p for k in range(p)] for m in range(p)]
+        self.fact = [1] * p
+        for k in range(2, p):
+            self.fact[k] = self.fact[k - 1] * k % p
+
+
+class FieldCodec(Codec):
+    """Int codes for the elements of one FieldSpec.
+
+    An element of F_p is coded by its residue, an element of F_{p^n} by its
+    n coordinates at a stride of CODE_STRIDE bits, so that the int product of
+    two codes is their product as polynomials in g, the coefficient of g^i
+    in bits 64i .. 64i+63.  Inside a product, codes are added and multiplied
+    as plain ints; reduce() and decode() then fold the coefficients of
+    g^n .. g^{2n-2} through the modulus (FieldSpec._red) and take every
+    coordinate mod p, once per product.  check_pairs() guards the stride.
+    """
+
+    zero = 0
+
+    def __init__(self, spec: FieldSpec):
+        Codec.__init__(self, spec.p)
+        p, n = spec.p, spec.n
+        self.n = n
+        self._elts = spec._elts
+        # value v = v mod p + p * (v // p), so its code is v mod p plus the
+        # code of v // p shifted up one coordinate
+        self._codes = codes = list(range(p))
+        for v in range(p, spec.q):
+            codes.append(v % p + (codes[v // p] << CODE_STRIDE))
+        # (bit offset of the coefficient of g^{n+k}, code of its image)
+        self._folds = [(CODE_STRIDE * (n + k),
+                        sum(c << CODE_STRIDE * i for i, c in enumerate(row)))
+                       for k, row in enumerate(spec._red)]
+        self._low = (1 << CODE_STRIDE * n) - 1
+        self._shifts = [CODE_STRIDE * i for i in reversed(range(n))]
+        # a folded coordinate is one coordinate plus n - 1 others times
+        # entries of _red (each at most p - 1)
+        self._fold_growth = 1 + (n - 1) * (p - 1)
+
+    def check_stride(self, bound: int) -> None:
+        """Raise OverflowError when ``bound``, an upper bound on the
+        coordinates of the codes of a product, reaches 2^CODE_STRIDE: one
+        coordinate would then carry into the next."""
+        if bound >> CODE_STRIDE:
+            raise OverflowError(
+                "coordinate bound %d of %s codes exceeds the %d-bit stride"
+                % (bound, self._elts[0].spec, CODE_STRIDE))
+
+    def check_pairs(self, pairs: int, scale: int = 1) -> None:
+        """Guard a product in which at most ``pairs`` code pairs land on one
+        key, each operand coordinate (at most p - 1) multiplied by at most
+        ``scale``.  Codes of F_p have no stride to overflow."""
+        if self.n > 1:
+            p = self.p
+            self.check_stride(pairs * scale * self.n * (p - 1) ** 2
+                              * self._fold_growth)
+
+    def encode(self, coeffs: dict) -> dict:
+        codes = self._codes
+        return {k: codes[c.val] for k, c in coeffs.items()}
+
+    def _vals(self, acc: dict) -> dict:
+        """The element values of unreduced codes of F_{p^n}, n > 1; zeros
+        dropped."""
+        p, low, folds, shifts = self.p, self._low, self._folds, self._shifts
+        out = {}
+        if self.n == 2:
+            # the same steps unrolled: one fold, from the top coordinate
+            ((shift, image),) = folds
+            for k, c in acc.items():
+                r = (c & low) + (c >> shift) * image
+                v = (r >> CODE_STRIDE) % p * p + (r & _CODE_MASK) % p
+                if v:
+                    out[k] = v
+            return out
+        for k, c in acc.items():
+            r = c & low
+            for shift, image in folds:
+                r += (c >> shift & _CODE_MASK) * image
+            v = 0
+            for shift in shifts:
+                v = v * p + (r >> shift & _CODE_MASK) % p
+            if v:
+                out[k] = v
+        return out
+
+    def reduce(self, acc: dict) -> dict:
+        """Unreduced codes to reduced ones (coordinates below p); zeros
+        dropped."""
+        if self.n == 1:
+            p = self.p
+            return {k: v for k, c in acc.items() if (v := c % p)}
+        codes = self._codes
+        return {k: codes[v] for k, v in self._vals(acc).items()}
+
+    def decode(self, acc: dict) -> dict:
+        """Codes to this field's own interned elements; zeros dropped."""
+        elts = self._elts
+        if self.n == 1:
+            p = self.p
+            return {k: elts[v] for k, c in acc.items() if (v := c % p)}
+        return {k: elts[v] for k, v in self._vals(acc).items()}

@@ -4,31 +4,38 @@ UniPoly (one printing variable, int exponent keys), BiPoly (pairs of
 exponents) and, in weyl.py, WeylElement (exponent vectors in normal order)
 are sparse maps from exponent keys to nonzero coefficients.  They share one
 private base class, _Sparse, which holds the zero-filtering constructor,
-addition, negation, scaling, powers, equality, the canonical printer and
-substitution through cached powers of the images.  Every product runs
-through one kernel, _mul_into, on int keys: tuple keys are packed into a
-single int for the duration of a product, at a bit width taken from the
-operands' largest exponents so that exponent sums never carry from one slot
-into the next, and are unpacked once at the end.  UniPoly and BiPoly hand
-the kernel their operands; WeylElement hands it the divided derivatives of
-its commutation rule.
+addition, negation, scaling, square-and-multiply powers, equality, the
+canonical printer and substitution through cached powers of the images.
+Every product runs through one kernel, _mul_into, on int keys and int
+coefficient codes: tuple keys are packed into a single int for the duration
+of a product, at a bit width taken from the operands' largest exponents so
+that exponent sums never carry from one slot into the next, and coefficients
+are replaced by the codes of their ring's codec (residues for F_p,
+coordinates at a 64-bit stride for F_{p^n}, the elements themselves for
+K[t]).  The kernel only adds and multiplies codes; the codec reduces once per
+product and hands back the ring's own interned elements, and the keys are
+unpacked once at the end.  UniPoly and BiPoly hand the kernel their
+operands; WeylElement hands it the divided derivatives of its commutation
+rule, and keeps its powers packed and coded from the first factor to the
+last.
 
 Also here is the characteristic-p tooling everything above is built from:
 divided powers d^[k] = d^k/k! via Lucas binomials (exact even when k!
 vanishes mod p), the base-p splitting K[x] = sum K[x^p] x^i, leading terms,
 and Jacobians of polynomial pairs.
 
-The coefficient ring is either a FieldSpec (elements: FieldElement) or a
-PolyRing over one (elements: UniPoly in ``t``), the latter so identities can
-be exercised over a reduced coefficient ring that is not a field.  Division
-is only ever asked of the field instance.
+The coefficient ring is either a FieldSpec (elements: FieldElement, codec:
+gfq.FieldCodec) or a PolyRing over one (elements: UniPoly in ``t``), the
+latter so identities can be exercised over a reduced coefficient ring that
+is not a field.  Division is only ever asked of the field instance.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 
-from .gfq import FieldElement, FieldSpec
+from .gfq import Codec, FieldElement, FieldSpec
 
 NEG_INF = float("-inf")
 
@@ -61,25 +68,28 @@ def falling_factorial_mod(m: int, k: int, p: int) -> int:
 # -- the product kernel and its key packing -----------------------------
 
 
-def _mul_into(ring, acc: dict, a: dict, b: dict) -> dict:
-    """acc += a * b for coefficient maps keyed by ints that add under
-    multiplication (exponents, or exponent vectors packed by _pack).  The
-    one loop over coefficient pairs: fields small enough to have tables
-    look products and sums up, other rings compute them."""
-    mul = getattr(ring, "_mul", None)
-    add = getattr(ring, "_add", None)
+def _mul_into(acc: dict, a: dict, b: dict, zero=0) -> dict:
+    """acc += a * b for maps from int keys that add under multiplication
+    (exponents, or exponent vectors packed by _pack) to coefficient codes
+    (Codec).  The one loop over coefficient pairs; nothing is reduced here,
+    the codec reduces once per product."""
     if len(a) > len(b):
         a, b = b, a
+    get = acc.get
+    items = b.items()
     for e1, c1 in a.items():
-        row = None if mul is None else mul[c1.val]
-        for e2, c2 in b.items():
+        for e2, c2 in items:
             e = e1 + e2
-            v = c1 * c2 if row is None else row[c2.val]
-            cur = acc.get(e)
-            if cur is not None:
-                v = cur + v if add is None else add[cur.val][v.val]
-            acc[e] = v
+            acc[e] = get(e, zero) + c1 * c2
     return acc
+
+
+def _coded_product(codec, a: dict, b: dict) -> dict:
+    """a * b for maps from int keys to ring elements, through the codes of
+    ``codec``; the result holds its own ring's elements, zeros dropped."""
+    codec.check_pairs(min(len(a), len(b)))
+    return codec.decode(_mul_into({}, codec.encode(a), codec.encode(b),
+                                  codec.zero))
 
 
 def _width(a: dict, b: dict) -> int:
@@ -191,16 +201,21 @@ class _Sparse:
         return self._like({k: v * c for k, v in self.coeffs.items()})
 
     def __pow__(self, k: int):
+        """Square-and-multiply: k.bit_length() - 1 squarings and one product
+        per further set bit of k, none for k <= 1."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.one(self.ring, self._shape())
+        if k == 0:
+            return self.one(self.ring, self._shape())
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -337,7 +352,8 @@ class UniPoly(_Sparse):
             isinstance(self.ring, PolyRing) and other.var == self.ring.var)
 
     def _product(self, other: "UniPoly") -> "UniPoly":
-        return self._like(_mul_into(self.ring, {}, self.coeffs, other.coeffs))
+        return self._like(_coded_product(self.ring.codec, self.coeffs,
+                                         other.coeffs))
 
     # -- calculus and base-p structure ----------------------------------
 
@@ -462,8 +478,8 @@ class BiPoly(_Sparse):
         if not a or not b:
             return self._like({})
         w = _width(a, b)
-        acc = _mul_into(self.ring, {}, _pack(a, w), _pack(b, w))
-        return self._like(_unpack(acc, w, 2))
+        return self._like(_unpack(
+            _coded_product(self.ring.codec, _pack(a, w), _pack(b, w)), w, 2))
 
     def derivative(self, axis: int, k: int = 1) -> "BiPoly":
         """k-th formal partial derivative along axis 0 or 1."""
@@ -514,6 +530,10 @@ class PolyRing:
     def characteristic(self) -> int:
         return self.base.p
 
+    @cached_property
+    def codec(self) -> "_PolyCodec":
+        return _PolyCodec(self)
+
     def zero(self) -> UniPoly:
         return UniPoly.zero(self.base, self.var)
 
@@ -558,3 +578,24 @@ class PolyRing:
         return "(%s)[%s]" % (self.base, self.var)
 
     __repr__ = __str__
+
+
+class _PolyCodec(Codec):
+    """Codes for K[t]: each element is its own code, so a product over K[t]
+    keeps UniPoly arithmetic on its coefficients (whose own products run
+    through the codes of K)."""
+
+    def __init__(self, ring: PolyRing):
+        Codec.__init__(self, ring.characteristic)
+        self.zero = ring.zero()
+
+    def check_pairs(self, pairs: int, scale: int = 1) -> None:
+        pass
+
+    def encode(self, coeffs: dict) -> dict:
+        return coeffs
+
+    def decode(self, acc: dict) -> dict:
+        return {k: c for k, c in acc.items() if c.coeffs}
+
+    reduce = decode

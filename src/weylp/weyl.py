@@ -11,12 +11,18 @@ computed through the closed commutation rule
 evaluated in aggregate as  A*B = sum_{k < p} k! * (d/d_xi)^[k]A * (d/dx)^[k]B
 over commutative normal symbols (binom(j,k)*binom(i,k)*k! equals the falling
 factorial form, and k! kills every k >= p).  Both operands are packed once
-into int keys (poly._pack); each k takes divided derivatives on the packed
-keys and hands the pair to the shared product kernel poly._mul_into, which
-accumulates every k into one map that is unpacked at the end.  Everything
-else (addition, scaling, equality, printing, substitution) is the shared
-sparse base of poly.py.  A term-by-term rewriting multiplier lives in the
-test suite as an independent oracle for this routine.
+into int keys (poly._pack) and their coefficients replaced by the int codes
+of the ring's codec; each k takes divided derivatives on the packed keys,
+with binom(m, k) mod p = binom(m mod p, k) from the codec's p x p table
+(k < p), scales the codes by k! and hands the pair to the shared product
+kernel poly._mul_into.  Every k accumulates into one map of unreduced codes,
+which the codec reduces once and which is unpacked at the end.  Powers stay
+in that packed, coded form from the first factor to the last: the base is
+packed at the key width of the final power and encoded once, each step is
+reduced, and the result is decoded and unpacked once.  Everything else
+(addition, scaling, equality, printing, substitution) is the shared sparse
+base of poly.py.  A term-by-term rewriting multiplier lives in the test
+suite as an independent oracle for this routine.
 
 The module also hosts the brute-force checks of the p-th power identity
 (d + f)^p = d^p + f^{(p-1)} + f^p, in A_1 over fields and over K[t], and its
@@ -28,7 +34,7 @@ from __future__ import annotations
 from itertools import product as _iterproduct
 
 from .poly import (BiPoly, UniPoly, _mul_into, _pack, _Sparse, _unpack,
-                   _width, lucas_binomial)
+                   _width)
 
 
 class WeylElement(_Sparse):
@@ -100,52 +106,41 @@ class WeylElement(_Sparse):
     __mul__ = _Sparse.__mul__
 
     def _product(self, other: "WeylElement") -> "WeylElement":
-        ring = self.ring
-        p = ring.characteristic
-        n = self.n
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self._like({})
-        # per-axis caps: self only differentiates in d's, other in x's
-        caps = [min(p - 1, max(k[n + s] for k in a), max(k[s] for k in b))
-                for s in range(n)]
-        fact = [1] * p
-        for m in range(2, p):
-            fact[m] = (fact[m - 1] * m) % p
+        codec = self.ring.codec
         w = _width(a, b)
-        a, b = _pack(a, w), _pack(b, w)
-        acc: dict = {}
-        for k in _iterproduct(*(range(c + 1) for c in caps)):
-            A = _divided_derivative(
-                a, [((n + s) * w, k[s]) for s in range(n) if k[s]], w, p)
-            if not A:
-                continue
-            B = _divided_derivative(
-                b, [(s * w, k[s]) for s in range(n) if k[s]], w, p)
-            if not B:
-                continue
-            # k! with every k_s < p, hence a unit mod p
-            scalar = 1
-            for s in range(n):
-                scalar = (scalar * fact[k[s]]) % p
-            if scalar != 1:
-                sc = ring.from_int(scalar)
-                A = {key: c * sc for key, c in A.items()}
-            _mul_into(ring, acc, A, B)
-        return self._like(_unpack(acc, w, 2 * n))
+        acc = _weyl_mul(codec, self.n, codec.encode(_pack(a, w)),
+                        codec.encode(_pack(b, w)), w, {})
+        return self._like(_unpack(codec.decode(acc), w, 2 * self.n))
 
     def __pow__(self, k: int) -> "WeylElement":
         # repeated multiplication, not the base's square-and-multiply: a
-        # step a^k * a costs |a^k| |a| term pairs, a square |a^k|^2.  On
-        # the sparse images res raises to the p-th power, squaring made a
-        # pass of the benchmark's restriction workload 1.8x slower (1.03 s
-        # to 1.88 s, seed 1, 2-vCPU Xeon)
+        # step a^k * a costs |a^k| |a| term pairs, a square |a^k|^2.  The
+        # chain stays packed and coded from the first factor to the last, at
+        # the key width of the final power, reducing once per step, and the
+        # divided derivatives of the base are taken once.  Time in powers
+        # per pass of the benchmark's restriction workload (seed 1, min of 5
+        # passes, three alternations, 2-vCPU Xeon): 0.17-0.27 s, against
+        # 0.27-0.43 s for square-and-multiply through the same coded
+        # products and 0.45-0.75 s for unpacked repeated multiplication
+        # with field-element coefficients
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = WeylElement.one(self.ring, self.n)
-        for _ in range(k):
-            result = result * self
-        return result
+        if k == 0:
+            return WeylElement.one(self.ring, self.n)
+        if not self.coeffs:
+            return self._like({})
+        codec = self.ring.codec
+        w = (k * max(map(max, self.coeffs))).bit_length()
+        base = codec.encode(_pack(self.coeffs, w))
+        base_parts: dict = {}
+        acc = base
+        for _ in range(k - 1):
+            acc = codec.reduce(
+                _weyl_mul(codec, self.n, acc, base, w, base_parts))
+        return self._like(_unpack(codec.decode(acc), w, 2 * self.n))
 
     def commutator(self, other: "WeylElement") -> "WeylElement":
         return self * other - other * self
@@ -187,25 +182,62 @@ class WeylElement(_Sparse):
         return self._substitute(images)
 
 
-def _divided_derivative(coeffs: dict, orders: list, width: int,
-                        p: int) -> dict:
-    """The divided partial derivative prod_s d^[k_s] of a normal symbol
-    with packed keys; ``orders`` lists (bit offset of slot s, k_s) for the
-    slots with k_s > 0.  Terms whose Lucas binomial vanishes drop out; the
-    others keep distinct keys."""
+def _weyl_mul(codec, n: int, a: dict, b: dict, w: int,
+              b_parts: dict) -> dict:
+    """Unreduced codes of the product of A_n elements given by packed keys
+    (slot width w) and reduced codes: sum over k of
+    k! (d/d_xi)^[k]a * (d/dx)^[k]b.  ``b_parts`` caches the divided
+    derivatives of b by k, for callers that multiply by b repeatedly."""
+    p = codec.p
+    mask = (1 << w) - 1
+    # per-axis orders: a only differentiates in d's, b in x's
+    ranges = [range(min(p, 1 + max([key >> (n + s) * w & mask for key in a]),
+                        1 + max([key >> s * w & mask for key in b])))
+              for s in range(n)]
+    ks = list(_iterproduct(*ranges))
+    # k! and the binomials are each reduced below p
+    codec.check_pairs(len(ks) * min(len(a), len(b)), (p - 1) ** 2)
+    binom, fact, zero = codec.binom, codec.fact, codec.zero
+    acc: dict = {}
+    for k in ks:
+        B = b_parts.get(k)
+        if B is None:
+            B = b_parts[k] = _divided_derivative(
+                b, [(s * w, e) for s, e in enumerate(k) if e], w, binom, p, 1)
+        if not B:
+            continue
+        scalar = 1
+        for e in k:
+            scalar *= fact[e]
+        A = _divided_derivative(
+            a, [((n + s) * w, e) for s, e in enumerate(k) if e], w, binom, p,
+            scalar)
+        if A:
+            _mul_into(acc, A, B, zero)
+    return acc
+
+
+def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
+                        p: int, scalar: int) -> dict:
+    """``scalar`` times the divided partial derivative prod_s d^[k_s] of a
+    normal symbol with packed keys and coded coefficients; ``orders`` lists
+    (bit offset of slot s, k_s < p) for the slots with k_s > 0, and
+    binom(m, k_s) mod p is binom[m % p][k_s] (Lucas).  Terms whose factor
+    vanishes mod p drop out; the others keep distinct keys."""
     if not orders:
         return coeffs
     mask = (1 << width) - 1
     out = {}
     for key, c in coeffs.items():
-        factor = 1
+        f = scalar
         for shift, k in orders:
-            factor = factor * lucas_binomial((key >> shift) & mask, k, p) % p
-            if not factor:
+            f *= binom[((key >> shift) & mask) % p][k]
+            if not f:
                 break
             key -= k << shift
         else:
-            out[key] = c * factor if factor != 1 else c
+            f %= p
+            out[key] = c * f if f != 1 else c
     return out
 
 
