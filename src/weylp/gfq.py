@@ -17,7 +17,6 @@ multiplied as plain ints and reduced once at the end of the product.
 from __future__ import annotations
 
 from functools import cached_property
-from math import comb
 from typing import Iterable, Iterator
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -416,22 +415,7 @@ class FieldSpec:
         return "FieldSpec(%s)" % self
 
 
-class Codec:
-    """What the product kernels need of a coefficient ring of characteristic
-    p besides its codes: binom(m, k) mod p for m, k < p and k! mod p for
-    k < p.  A Weyl product only takes divided derivatives of orders k < p,
-    and for those Lucas' theorem gives binom(m, k) = binom(m mod p, k) mod p.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-        self.binom = [[comb(m, k) % p for k in range(p)] for m in range(p)]
-        self.fact = [1] * p
-        for k in range(2, p):
-            self.fact[k] = self.fact[k - 1] * k % p
-
-
-class FieldCodec(Codec):
+class FieldCodec:
     """Int codes for the elements of one FieldSpec.
 
     An element of F_p is coded by its residue, an element of F_{p^n} by its
@@ -446,9 +430,8 @@ class FieldCodec(Codec):
     zero = 0
 
     def __init__(self, spec: FieldSpec):
-        Codec.__init__(self, spec.p)
         p, n = spec.p, spec.n
-        self.n = n
+        self.p, self.n = p, n
         self._elts = spec._elts
         # value v = v mod p + p * (v // p), so its code is v mod p plus the
         # code of v // p shifted up one coordinate
@@ -488,19 +471,12 @@ class FieldCodec(Codec):
         return {k: codes[c.val] for k, c in coeffs.items()}
 
     def _vals(self, acc: dict) -> dict:
-        """The element values of unreduced codes of F_{p^n}, n > 1; zeros
-        dropped."""
-        p, low, folds, shifts = self.p, self._low, self._folds, self._shifts
+        """The element values of unreduced codes; zeros dropped."""
+        p = self.p
+        if self.n == 1:
+            return {k: v for k, c in acc.items() if (v := c % p)}
+        low, folds, shifts = self._low, self._folds, self._shifts
         out = {}
-        if self.n == 2:
-            # the same steps unrolled: one fold, from the top coordinate
-            ((shift, image),) = folds
-            for k, c in acc.items():
-                r = (c & low) + (c >> shift) * image
-                v = (r >> CODE_STRIDE) % p * p + (r & _CODE_MASK) % p
-                if v:
-                    out[k] = v
-            return out
         for k, c in acc.items():
             r = c & low
             for shift, image in folds:
@@ -515,16 +491,10 @@ class FieldCodec(Codec):
     def reduce(self, acc: dict) -> dict:
         """Unreduced codes to reduced ones (coordinates below p); zeros
         dropped."""
-        if self.n == 1:
-            p = self.p
-            return {k: v for k, c in acc.items() if (v := c % p)}
         codes = self._codes
         return {k: codes[v] for k, v in self._vals(acc).items()}
 
     def decode(self, acc: dict) -> dict:
         """Codes to this field's own interned elements; zeros dropped."""
         elts = self._elts
-        if self.n == 1:
-            p = self.p
-            return {k: elts[v] for k, c in acc.items() if (v := c % p)}
         return {k: elts[v] for k, v in self._vals(acc).items()}

@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import comb
 
-from .gfq import Codec, FieldElement, FieldSpec
+from .gfq import FieldElement, FieldSpec
 
 NEG_INF = float("-inf")
 
@@ -71,8 +71,8 @@ def falling_factorial_mod(m: int, k: int, p: int) -> int:
 def _mul_into(acc: dict, a: dict, b: dict, zero=0) -> dict:
     """acc += a * b for maps from int keys that add under multiplication
     (exponents, or exponent vectors packed by _pack) to coefficient codes
-    (Codec).  The one loop over coefficient pairs; nothing is reduced here,
-    the codec reduces once per product."""
+    (gfq.FieldCodec, _PolyCodec).  The one loop over coefficient pairs;
+    nothing is reduced here, the codec reduces once per product."""
     if len(a) > len(b):
         a, b = b, a
     get = acc.get
@@ -580,13 +580,12 @@ class PolyRing:
     __repr__ = __str__
 
 
-class _PolyCodec(Codec):
+class _PolyCodec:
     """Codes for K[t]: each element is its own code, so a product over K[t]
     keeps UniPoly arithmetic on its coefficients (whose own products run
     through the codes of K)."""
 
     def __init__(self, ring: PolyRing):
-        Codec.__init__(self, ring.characteristic)
         self.zero = ring.zero()
 
     def check_pairs(self, pairs: int, scale: int = 1) -> None:

@@ -13,7 +13,7 @@ over commutative normal symbols (binom(j,k)*binom(i,k)*k! equals the falling
 factorial form, and k! kills every k >= p).  Both operands are packed once
 into int keys (poly._pack) and their coefficients replaced by the int codes
 of the ring's codec; each k takes divided derivatives on the packed keys,
-with binom(m, k) mod p = binom(m mod p, k) from the codec's p x p table
+with binom(m, k) mod p = binom(m mod p, k) from a p x p table kept per p
 (k < p), scales the codes by k! and hands the pair to the shared product
 kernel poly._mul_into.  Every k accumulates into one map of unreduced codes,
 which the codec reduces once and which is unpacked at the end.  Powers stay
@@ -31,7 +31,9 @@ two-variable analogue in A_2.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as _iterproduct
+from math import comb
 
 from .poly import (BiPoly, UniPoly, _mul_into, _pack, _Sparse, _unpack,
                    _width)
@@ -111,8 +113,9 @@ class WeylElement(_Sparse):
             return self._like({})
         codec = self.ring.codec
         w = _width(a, b)
-        acc = _weyl_mul(codec, self.n, codec.encode(_pack(a, w)),
-                        codec.encode(_pack(b, w)), w, {})
+        acc = _weyl_mul(codec, self.ring.characteristic, self.n,
+                        codec.encode(_pack(a, w)), codec.encode(_pack(b, w)),
+                        w, {})
         return self._like(_unpack(codec.decode(acc), w, 2 * self.n))
 
     def __pow__(self, k: int) -> "WeylElement":
@@ -122,9 +125,9 @@ class WeylElement(_Sparse):
         # the key width of the final power, reducing once per step, and the
         # divided derivatives of the base are taken once.  Time in powers
         # per pass of the benchmark's restriction workload (seed 1, min of 5
-        # passes, three alternations, 2-vCPU Xeon): 0.17-0.27 s, against
-        # 0.27-0.43 s for square-and-multiply through the same coded
-        # products and 0.45-0.75 s for unpacked repeated multiplication
+        # passes, three alternations, 2-vCPU Xeon): 0.15-0.20 s, against
+        # 0.24-0.25 s for square-and-multiply through the same coded
+        # products and 0.45-0.48 s for unpacked repeated multiplication
         # with field-element coefficients
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
@@ -132,14 +135,14 @@ class WeylElement(_Sparse):
             return WeylElement.one(self.ring, self.n)
         if not self.coeffs:
             return self._like({})
-        codec = self.ring.codec
+        codec, p = self.ring.codec, self.ring.characteristic
         w = (k * max(map(max, self.coeffs))).bit_length()
         base = codec.encode(_pack(self.coeffs, w))
         base_parts: dict = {}
         acc = base
         for _ in range(k - 1):
             acc = codec.reduce(
-                _weyl_mul(codec, self.n, acc, base, w, base_parts))
+                _weyl_mul(codec, p, self.n, acc, base, w, base_parts))
         return self._like(_unpack(codec.decode(acc), w, 2 * self.n))
 
     def commutator(self, other: "WeylElement") -> "WeylElement":
@@ -182,13 +185,23 @@ class WeylElement(_Sparse):
         return self._substitute(images)
 
 
-def _weyl_mul(codec, n: int, a: dict, b: dict, w: int,
+@lru_cache(maxsize=None)
+def _lucas_tables(p: int) -> tuple:
+    """binom(m, k) mod p for m, k < p, and k! mod p for k < p."""
+    binom = [[comb(m, k) % p for k in range(p)] for m in range(p)]
+    fact = [1] * p
+    for k in range(2, p):
+        fact[k] = fact[k - 1] * k % p
+    return binom, fact
+
+
+def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int,
               b_parts: dict) -> dict:
     """Unreduced codes of the product of A_n elements given by packed keys
-    (slot width w) and reduced codes: sum over k of
-    k! (d/d_xi)^[k]a * (d/dx)^[k]b.  ``b_parts`` caches the divided
-    derivatives of b by k, for callers that multiply by b repeatedly."""
-    p = codec.p
+    (slot width w) and reduced codes of ``codec``, over characteristic p:
+    sum over k of k! (d/d_xi)^[k]a * (d/dx)^[k]b.  ``b_parts`` caches the
+    divided derivatives of b by k, for callers that multiply by b
+    repeatedly."""
     mask = (1 << w) - 1
     # per-axis orders: a only differentiates in d's, b in x's
     ranges = [range(min(p, 1 + max([key >> (n + s) * w & mask for key in a]),
@@ -197,7 +210,8 @@ def _weyl_mul(codec, n: int, a: dict, b: dict, w: int,
     ks = list(_iterproduct(*ranges))
     # k! and the binomials are each reduced below p
     codec.check_pairs(len(ks) * min(len(a), len(b)), (p - 1) ** 2)
-    binom, fact, zero = codec.binom, codec.fact, codec.zero
+    binom, fact = _lucas_tables(p)
+    zero = codec.zero
     acc: dict = {}
     for k in ks:
         B = b_parts.get(k)

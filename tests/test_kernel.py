@@ -3,11 +3,13 @@ square-and-multiply, and Weyl powers that stay packed and coded from the
 first factor to the last."""
 
 import random
+from math import comb, factorial
 
 import pytest
 
 from weylp import BiPoly, FieldSpec, PolyRing, UniPoly, WeylElement
-from weylp.gfq import CODE_STRIDE
+from weylp.gfq import CODE_STRIDE, SUPPORTED_PRIMES
+from weylp.weyl import _lucas_tables
 
 from helpers import mul_by_rewriting
 
@@ -168,3 +170,13 @@ class TestCodec:
         assert F9.codec is F9.codec
         assert FieldSpec(3, 2).codec is not F9.codec
         assert KT.codec is KT.codec
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_lucas_tables(p):
+    # the Weyl product looks binom(m, k) mod p up as binom[m % p][k], k < p
+    binom, fact = _lucas_tables(p)
+    for m in range(3 * p):
+        for k in range(p):
+            assert binom[m % p][k] == comb(m, k) % p
+    assert fact == [factorial(k) % p for k in range(p)]
