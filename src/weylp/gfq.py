@@ -6,24 +6,22 @@ stored in the polynomial basis 1, g, ..., g^{n-1}.  Every finite field is
 perfect, so besides the Frobenius a -> a^p each element has a unique p-th
 root, computed as a -> a^{p^{n-1}} (since a^{p^n} = a).
 
-Each FieldSpec interns all q = p^n of its elements at construction time and,
-for small q, precomputes addition/multiplication tables; arithmetic then only
-ever hands out interned values, so equal elements are identical objects.
-Inside a polynomial or Weyl product the elements are replaced by int codes
-(FieldCodec, built on a FieldSpec's first product) that are added and
-multiplied as plain ints and reduced once at the end of the product.
+Each FieldSpec interns all q = p^n of its elements at construction time and
+builds its FieldCodec, which codes every element as an int; arithmetic then
+only ever hands out interned values, so equal elements are identical
+objects.  There is one arithmetic, through the codes: a sum or product of
+two elements is the int sum or product of their codes, folded back to an
+element by FieldCodec.value.  Inside a polynomial or Weyl product the codes
+are added and multiplied as plain ints and folded once at the end of the
+product.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Iterator
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 MAX_DEGREE = 4
-
-# add/mul lookup tables are built when q <= this; beyond it ops are computed
-_TABLE_LIMIT = 256
 
 # bits per coordinate in the int code of an element of F_{p^n}, n > 1
 CODE_STRIDE = 64
@@ -132,15 +130,17 @@ class FieldElement:
         if other is None:
             return NotImplemented
         spec = self.spec
-        if spec._add is not None:
-            return spec._add[self.val][other.val]
-        return spec._elts[spec._add_vals(self.val, other.val)]
+        codec = spec.codec
+        codes = codec._codes
+        return spec._elts[codec.value(codes[self.val] + codes[other.val])]
 
     __radd__ = __add__
 
     def __neg__(self):
+        # times p - 1 rather than -1: codes stay non-negative
         spec = self.spec
-        return spec._elts[spec._neg_vals(self.val)]
+        codec = spec.codec
+        return spec._elts[codec.value(codec._codes[self.val] * (spec.p - 1))]
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -159,9 +159,9 @@ class FieldElement:
         if other is None:
             return NotImplemented
         spec = self.spec
-        if spec._mul is not None:
-            return spec._mul[self.val][other.val]
-        return spec._elts[spec._mul_vals(self.val, other.val)]
+        codec = spec.codec
+        codes = codec._codes
+        return spec._elts[codec.value(codes[self.val] * codes[other.val])]
 
     __rmul__ = __mul__
 
@@ -274,25 +274,11 @@ class FieldSpec:
                 red.append(tuple(row))
         self._red = red
         self._elts = [FieldElement(self, v) for v in range(self.q)]
-        if self.q <= _TABLE_LIMIT:
-            elts = self._elts
-            self._add = [[elts[self._add_vals(a, b)] for b in range(self.q)]
-                         for a in range(self.q)]
-            self._mul = [[elts[self._mul_vals(a, b)] for b in range(self.q)]
-                         for a in range(self.q)]
-        else:
-            self._add = None
-            self._mul = None
+        self.codec = FieldCodec(self)
 
     @property
     def characteristic(self) -> int:
         return self.p
-
-    @cached_property
-    def codec(self) -> "FieldCodec":
-        """Int codes of the elements for the product kernel; built on first
-        use and kept on this FieldSpec."""
-        return FieldCodec(self)
 
     def _unpack(self, val: int) -> tuple[int, ...]:
         p = self.p
@@ -307,40 +293,6 @@ class FieldSpec:
         for c in reversed(list(coeffs)):
             val = val * self.p + (c % self.p)
         return val
-
-    def _add_vals(self, a: int, b: int) -> int:
-        p = self.p
-        if self.n == 1:
-            return (a + b) % p
-        av, bv = self._unpack(a), self._unpack(b)
-        return self._pack((x + y) % p for x, y in zip(av, bv))
-
-    def _neg_vals(self, a: int) -> int:
-        p = self.p
-        if self.n == 1:
-            return (-a) % p
-        return self._pack((-x) % p for x in self._unpack(a))
-
-    def _mul_vals(self, a: int, b: int) -> int:
-        p, n = self.p, self.n
-        if n == 1:
-            return (a * b) % p
-        av, bv = self._unpack(a), self._unpack(b)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(av):
-            if ai:
-                for j, bj in enumerate(bv):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        out = prod[:n]
-        for k in range(n, 2 * n - 1):
-            c = prod[k]
-            if c:
-                row = self._red[k - n]
-                for i in range(n):
-                    if row[i]:
-                        out[i] = (out[i] + c * row[i]) % p
-        return self._pack(out)
 
     def zero(self) -> FieldElement:
         return self._elts[0]
@@ -421,10 +373,12 @@ class FieldCodec:
     An element of F_p is coded by its residue, an element of F_{p^n} by its
     n coordinates at a stride of CODE_STRIDE bits, so that the int product of
     two codes is their product as polynomials in g, the coefficient of g^i
-    in bits 64i .. 64i+63.  Inside a product, codes are added and multiplied
-    as plain ints; reduce() and decode() then fold the coefficients of
-    g^n .. g^{2n-2} through the modulus (FieldSpec._red) and take every
-    coordinate mod p, once per product.  check_pairs() guards the stride.
+    in bits 64i .. 64i+63.  value() folds a code back to an element: the
+    coefficients of g^n .. g^{2n-2} through the modulus (FieldSpec._red),
+    then every coordinate mod p.  FieldElement's sum, negation and product
+    are one int operation on codes and one fold; inside a polynomial or Weyl
+    product, codes are added and multiplied as plain ints and reduce() and
+    decode() fold once per product.  check_pairs() guards the stride.
     """
 
     zero = 0
@@ -470,31 +424,28 @@ class FieldCodec:
         codes = self._codes
         return {k: codes[c.val] for k, c in coeffs.items()}
 
-    def _vals(self, acc: dict) -> dict:
-        """The element values of unreduced codes; zeros dropped."""
+    def value(self, code: int) -> int:
+        """The element (its index in FieldSpec._elts) of an unreduced code
+        with non-negative coordinates: the coefficients of g^n .. g^{2n-2}
+        folded through the modulus, every coordinate taken mod p."""
         p = self.p
         if self.n == 1:
-            return {k: v for k, c in acc.items() if (v := c % p)}
-        low, folds, shifts = self._low, self._folds, self._shifts
-        out = {}
-        for k, c in acc.items():
-            r = c & low
-            for shift, image in folds:
-                r += (c >> shift & _CODE_MASK) * image
-            v = 0
-            for shift in shifts:
-                v = v * p + (r >> shift & _CODE_MASK) % p
-            if v:
-                out[k] = v
-        return out
+            return code % p
+        r = code & self._low
+        for shift, image in self._folds:
+            r += (code >> shift & _CODE_MASK) * image
+        v = 0
+        for shift in self._shifts:
+            v = v * p + (r >> shift & _CODE_MASK) % p
+        return v
 
     def reduce(self, acc: dict) -> dict:
         """Unreduced codes to reduced ones (coordinates below p); zeros
         dropped."""
-        codes = self._codes
-        return {k: codes[v] for k, v in self._vals(acc).items()}
+        codes, value = self._codes, self.value
+        return {k: codes[v] for k, c in acc.items() if (v := value(c))}
 
     def decode(self, acc: dict) -> dict:
         """Codes to this field's own interned elements; zeros dropped."""
-        elts = self._elts
-        return {k: elts[v] for k, v in self._vals(acc).items()}
+        elts, value = self._elts, self.value
+        return {k: elts[v] for k, c in acc.items() if (v := value(c))}

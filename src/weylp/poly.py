@@ -172,8 +172,11 @@ class _Sparse:
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.coeffs)
+        # over an equal ring built separately, keys only ``other`` has are
+        # added to our zero, so the sum holds our ring's own elements
+        zero = None if other.ring is self.ring else self.ring.zero()
         for k, c in other.coeffs.items():
-            cur = out.get(k)
+            cur = out.get(k, zero)
             out[k] = c if cur is None else cur + c
         return self._like(out)
 

@@ -95,18 +95,8 @@ def res_phi(f: UniPoly) -> UniPoly:
     """Payload rule for triangular automorphisms: res(phi_f) = phi_{g} with
     g the theta image of f written in X (exponent/p)."""
     from .theta import theta
-    return _to_X(theta(f))
-
-
-def _to_X(g: UniPoly) -> UniPoly:
-    """Rewrite a polynomial in x with support in pZ as a polynomial in X."""
-    p = g.ring.characteristic
-    out = {}
-    for e, c in g.coeffs.items():
-        if e % p:
-            raise ValueError("exponent %d not divisible by %d" % (e, p))
-        out[e // p] = c
-    return UniPoly(g.ring, out, "X")
+    # theta rejects images off K[x^p], so component 0 is the whole image
+    return theta(f).p_decompose("X")[0]
 
 
 def res_inverse(g: AutImages) -> AutImages:

@@ -1,5 +1,6 @@
 """Shared test helpers, including the slow rewriting multiplier that serves
-as an independent oracle for WeylElement multiplication."""
+as an independent oracle for WeylElement multiplication, and the schoolbook
+product that serves as one for F_{p^n} multiplication."""
 
 from __future__ import annotations
 
@@ -40,6 +41,33 @@ def mul_by_rewriting(lhs: WeylElement, rhs: WeylElement) -> WeylElement:
                 cur = acc.get(key)
                 acc[key] = v if cur is None else cur + v
     return WeylElement(ring, acc, 1)
+
+
+def field_mul_schoolbook(spec: FieldSpec, a, b) -> tuple:
+    """Product in F_{p^n} of two coordinate lists (ascending powers of g):
+    the schoolbook product of the polynomials in g, then long division by
+    the monic spec.modulus.  Independent of FieldSpec's reduction rows
+    (``_red``) and of its codec."""
+    p, n, modulus = spec.p, spec.n, spec.modulus
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    # subtract c * g^(k-n) * modulus to clear the coefficient of g^k
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k] % p
+        for i, m in enumerate(modulus):
+            prod[k - n + i] -= c * m
+    return tuple(c % p for c in prod[:n])
+
+
+def field_pow_schoolbook(spec: FieldSpec, a, e: int) -> tuple:
+    """a^e for a coordinate list a and small e >= 0, by repeated
+    field_mul_schoolbook."""
+    out = (1,) + (0,) * (spec.n - 1)
+    for _ in range(e):
+        out = field_mul_schoolbook(spec, out, a)
+    return out
 
 
 def random_unipoly_exact(rng, spec: FieldSpec, deg: int,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from weylp import FieldSpec
 from weylp.gfq import default_modulus, is_irreducible
+
+from helpers import field_mul_schoolbook, field_pow_schoolbook
 
 FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(13),
           FieldSpec(2, 2, (1, 1, 1)), FieldSpec(3, 2), FieldSpec(5, 2),
@@ -164,8 +167,7 @@ class TestPrinting:
 
 
 def test_interning_and_no_tables_path():
-    big = FieldSpec(13, 3)  # q = 2197 > table limit
-    assert big._mul is None
+    big = FieldSpec(13, 3)  # q = 2197
     rng = random.Random(7)
     for _ in range(50):
         a, b = big.random_element(rng), big.random_element(rng)
@@ -174,3 +176,32 @@ def test_interning_and_no_tables_path():
         if not a.is_zero():
             assert a * a.inv() == big.one()
         assert a.frobenius().inv_frobenius() == a
+
+
+@pytest.mark.parametrize("p,n", [(13, 1), (2, 2), (3, 2), (2, 4), (7, 2),
+                                 (13, 2), (7, 3), (13, 4)])
+def test_arithmetic_matches_schoolbook_oracle(p, n):
+    # every pair up to q = 169, 2,000 seeded pairs beyond
+    spec = FieldSpec(p, n)
+    if spec.q <= 169:
+        pairs = list(itertools.product(spec.elements(), repeat=2))
+        singles = list(spec.elements())
+    else:
+        rng = random.Random(p * 10 + n)
+        pairs = [(spec.random_element(rng), spec.random_element(rng))
+                 for _ in range(2000)]
+        singles = [a for a, _ in pairs]
+    for a, b in pairs:
+        x, y = a.coeffs, b.coeffs
+        assert a + b is spec.element([(u + v) % p for u, v in zip(x, y)])
+        assert a - b is spec.element([(u - v) % p for u, v in zip(x, y)])
+        assert a * b is spec.element(field_mul_schoolbook(spec, x, y))
+    one = spec.one().coeffs
+    for a in singles:
+        x = a.coeffs
+        assert -a is spec.element([-u % p for u in x])
+        if a:
+            assert field_mul_schoolbook(spec, x, a.inv().coeffs) == one
+        assert a.frobenius() is spec.element(field_pow_schoolbook(spec, x, p))
+        root = a.inv_frobenius().coeffs
+        assert field_pow_schoolbook(spec, root, p) == x

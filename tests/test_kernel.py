@@ -15,9 +15,9 @@ from helpers import mul_by_rewriting
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
-F9 = FieldSpec(3, 2)        # tabled extension field
+F9 = FieldSpec(3, 2)        # small extension field
 F13 = FieldSpec(13)
-F13_3 = FieldSpec(13, 3)    # q = 2197: no tables
+F13_3 = FieldSpec(13, 3)    # q = 2197
 KT = PolyRing(F3)
 
 POWER_RINGS = [F2, F13, F9, F13_3, KT]
@@ -134,6 +134,19 @@ class TestCodec:
             v, w = weyl_base(mine, rank), weyl_base(other, rank)
             assert interned(v * w, mine) and interned(w * v, other)
             assert interned(v ** p, mine)
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (13, 3)])
+    def test_sums_hand_back_own_interned_elements(self, p, n):
+        mine, other = FieldSpec(p, n), FieldSpec(p, n)
+        pairs = [(sparse_poly(cls, mine), sparse_poly(cls, other) ** 2)
+                 for cls in (UniPoly, BiPoly)]
+        pairs += [(weyl_base(mine, rank), weyl_base(other, rank) ** 2)
+                  for rank in (1, 2)]
+        for a, b in pairs:
+            # keys only the right operand has
+            assert set(b.coeffs) - set(a.coeffs)
+            assert interned(a + b, mine) and interned(b + a, other)
+            assert interned(a - b, mine)
 
     @pytest.mark.parametrize("spec", [F13, F9, F13_3, FieldSpec(2, 4),
                                       FieldSpec(5, 4)], ids=str)

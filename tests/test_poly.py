@@ -68,9 +68,9 @@ class TestRingOps:
         assert a - a == UniPoly.zero(spec)
 
     def test_mul_matches_nontable_path(self):
-        # same inputs through the table fast path and the generic path
-        big = FieldSpec(13, 3)  # no tables
-        small = FieldSpec(13)   # tables
+        # same inputs through the codes of F_13 (n = 1) and F_{13^3} (n > 1)
+        big = FieldSpec(13, 3)  # n > 1: coordinates folded by the modulus
+        small = FieldSpec(13)   # n = 1: residues
         rng = random.Random(3)
         a_s = rand_poly(rng, small, 8)
         b_s = rand_poly(rng, small, 8)
@@ -84,8 +84,8 @@ class TestRingOps:
             {e: c.val for e, c in prod_big.coeffs.items()}
 
     def test_bipoly_and_weyl_mul_match_nontable_path(self):
-        big = FieldSpec(13, 3)  # no tables
-        small = FieldSpec(13)   # tables
+        big = FieldSpec(13, 3)  # n > 1: coordinates folded by the modulus
+        small = FieldSpec(13)   # n = 1: residues
         rng = random.Random(11)
 
         def lift(value, shape):
