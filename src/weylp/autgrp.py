@@ -471,11 +471,8 @@ def decompose(a: AutImages) -> AutWord:
     by swapping through s first."""
     if a.target != Z:
         raise ValueError("decompose acts on Z images")
+    a.validate()
     field = a.field
-    jac = a.jacobian()
-    if set(jac.coeffs) - {(0, 0)} or jac.is_zero():
-        raise NotAnAutomorphismError(
-            "jacobian %s is not a nonzero constant" % jac)
     P, Q = a.img_x, a.img_y
     tail: list = []
     while True:

@@ -1,11 +1,14 @@
 """Command-line front-end.
 
 Subcommands: pow-check, theta, theta-inv, res, res-inv, decompose, compose,
-jacobian, fuzz.  Every command takes --field "p=<int>[,n=<int>,mod=<poly in
-g>]" and prints one canonical result line (or a stable JSON object with
---json).  Exit codes: 0 success / all checks passed, 1 a verification or
-domain failure (identity broken, not an automorphism, jacobian not 1, bad
-support), 2 usage or syntax errors.
+jacobian, fuzz.  Each is one handler in _COMMANDS that maps the parsed
+arguments and the field to a canonical result line and a dict of the checks
+it made; the command prints that line (or, with --json, a stable JSON object
+holding both).  Every command takes --field "p=<int>[,n=<int>,mod=<poly in
+g>]".  Exit codes: 0 success; 1 a failed check of a command whose checks
+are verdicts (pow-check, theta-inv, res-inv, decompose, fuzz) or a domain
+failure (not an automorphism, jacobian not 1, bad support); 2 usage or
+syntax errors.
 """
 
 from __future__ import annotations
@@ -25,8 +28,89 @@ from .theta import theta, theta_inverse, theta_inverse_oracle
 from .weyl import verify_pth_power_identity
 
 
-class VerificationFailure(Exception):
-    """Domain-level failure: well-formed input, negative verdict."""
+def _pow_check(args, spec):
+    f = parse_unipoly(args.poly, spec)
+    ok = verify_pth_power_identity(f)
+    image = theta(f)
+    rhs = "d^%d" % spec.p if image.is_zero() else "d^%d+%s" % (spec.p, image)
+    return ("%s: (d+%s)^%d = %s" % ("OK" if ok else "FAIL", f, spec.p, rhs),
+            {"identity": ok})
+
+
+def _theta(args, spec):
+    return str(theta(parse_unipoly(args.poly, spec))), {}
+
+
+def _theta_inv(args, spec):
+    g = parse_unipoly(args.poly, spec)
+    f = theta_inverse(g)
+    return str(f), {"oracle_agrees": theta_inverse_oracle(g) == f,
+                    "round_trip": theta(f) == g}
+
+
+def _res(args, spec):
+    r = res(parse_automorphism(args.aut, spec, A1))
+    return str(r.image), {"jacobian_one": r.jacobian_value == spec.one(),
+                          "degree_preserved": r.degree_in == r.degree_out}
+
+
+def _res_inv(args, spec):
+    g = parse_automorphism(args.aut, spec, Z)
+    sigma = res_inverse(g)
+    return str(sigma), {"restriction_round_trip": res(sigma).image == g}
+
+
+def _decompose(args, spec):
+    g = parse_automorphism(args.aut, spec, Z)
+    word = decompose(g)
+    return str(word), {"realize_matches": realize(word) == g}
+
+
+def _compose(args, spec):
+    a = parse_automorphism(args.aut_a, spec, args.target)
+    b = parse_automorphism(args.aut_b, spec, args.target)
+    return str(compose(a, b)), {}
+
+
+def _jacobian(args, spec):
+    jac = parse_automorphism(args.aut, spec, Z).jacobian()
+    return str(jac), {"constant": not (set(jac.coeffs) - {(0, 0)}),
+                      "nonzero": not jac.is_zero()}
+
+
+def _fuzz(args, spec):
+    if args.count < 1:
+        raise UsageError("--count must be positive")
+    report = run_suite(args.suite, spec, args.count, random.Random(args.seed))
+    return report.summary(), {"all_passed": report.all_passed}
+
+
+# name: (handler, help, positional arguments with their help); a handler
+# maps (args, spec) to the result line and a dict of the checks it made
+_COMMANDS = {
+    "pow-check": (_pow_check, "verify (d+f)^p = d^p + f^(p-1) + f^p for one f",
+                  ("poly", "polynomial in x")),
+    "theta": (_theta, "apply f -> f^p + f^(p-1)", ("poly", "polynomial in x")),
+    "theta-inv": (_theta_inv, "invert f -> f^p + f^(p-1)",
+                  ("poly", "polynomial in x with exponents divisible by p")),
+    "res": (_res, "restrict an A_1 automorphism to the centre",
+            ("aut", "A_1 automorphism: (exprX; exprY) or a word")),
+    "res-inv": (_res_inv,
+                "inverse of the restriction on jacobian-1 automorphisms",
+                ("aut", "centre automorphism: (exprX; exprY) or a word")),
+    "decompose": (_decompose, "canonical word of a centre automorphism",
+                  ("aut", "centre automorphism: (exprX; exprY) or a word")),
+    "compose": (_compose, "compose two automorphisms (left acts after right)",
+                ("aut_a", "first automorphism"),
+                ("aut_b", "second automorphism")),
+    "jacobian": (_jacobian, "jacobian of a centre endomorphism",
+                 ("aut", "centre images: (exprX; exprY) or a word")),
+    "fuzz": (_fuzz, "run a randomized verification suite",
+             ("suite", "one of: " + ", ".join(sorted(SUITES)))),
+}
+# commands whose checks are verdicts: one failed check exits 1
+_VERDICTS = frozenset(("pow-check", "theta-inv", "res-inv", "decompose",
+                       "fuzz"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,8 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computations in the first Weyl algebra over "
                     "F_{p^n} and in the automorphism groups of its centre.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *positionals):
+    for name, (_, help_text, *positionals) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--field", required=True,
                         help="field spec, e.g. p=2 or p=2,n=2,mod=g^2+g+1")
@@ -44,116 +127,26 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON object instead of plain text")
         for pos, phelp in positionals:
             sp.add_argument(pos, help=phelp)
-        return sp
-
-    add("pow-check", "verify (d+f)^p = d^p + f^(p-1) + f^p for one f",
-        ("poly", "polynomial in x"))
-    add("theta", "apply f -> f^p + f^(p-1)", ("poly", "polynomial in x"))
-    add("theta-inv", "invert f -> f^p + f^(p-1)",
-        ("poly", "polynomial in x with exponents divisible by p"))
-    add("res", "restrict an A_1 automorphism to the centre",
-        ("aut", "A_1 automorphism: (exprX; exprY) or a word"))
-    add("res-inv", "inverse of the restriction on jacobian-1 automorphisms",
-        ("aut", "centre automorphism: (exprX; exprY) or a word"))
-    add("decompose", "canonical word of a centre automorphism",
-        ("aut", "centre automorphism: (exprX; exprY) or a word"))
-    sp = add("compose", "compose two automorphisms (left acts after right)",
-             ("aut_a", "first automorphism"), ("aut_b", "second automorphism"))
-    sp.add_argument("--target", choices=(A1, Z), default=Z,
-                    help="which algebra the automorphisms act on (default Z)")
-    add("jacobian", "jacobian of a centre endomorphism",
-        ("aut", "centre images: (exprX; exprY) or a word"))
-    sp = add("fuzz", "run a randomized verification suite",
-             ("suite", "one of: " + ", ".join(sorted(SUITES))))
-    sp.add_argument("--count", type=int, default=100,
-                    help="number of random cases (default 100)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="RNG seed (default 0)")
+    sub.choices["compose"].add_argument(
+        "--target", choices=(A1, Z), default=Z,
+        help="which algebra the automorphisms act on (default Z)")
+    fuzz = sub.choices["fuzz"]
+    fuzz.add_argument("--count", type=int, default=100,
+                      help="number of random cases (default 100)")
+    fuzz.add_argument("--seed", type=int, default=0,
+                      help="RNG seed (default 0)")
     return parser
-
-
-def _emit(args, kind: str, field, result: str, checks: dict) -> None:
-    if args.json:
-        print(json.dumps({"kind": kind, "field": str(field),
-                          "result": result, "checks": checks}))
-    else:
-        print(result)
 
 
 def _run(args) -> int:
     spec = parse_field_spec(args.field)
-    command = args.command
-    if command == "pow-check":
-        f = parse_unipoly(args.poly, spec)
-        ok = verify_pth_power_identity(f)
-        image = theta(f)
-        rhs = "d^%d" % spec.p if image.is_zero() else \
-            "d^%d+%s" % (spec.p, image)
-        result = "%s: (d+%s)^%d = %s" % ("OK" if ok else "FAIL", f, spec.p,
-                                         rhs)
-        _emit(args, command, spec, result, {"identity": ok})
-        if not ok:
-            raise VerificationFailure("the p-th power identity failed")
-        return 0
-    if command == "theta":
-        f = parse_unipoly(args.poly, spec)
-        _emit(args, command, spec, str(theta(f)), {})
-        return 0
-    if command == "theta-inv":
-        g = parse_unipoly(args.poly, spec)
-        f = theta_inverse(g)
-        checks = {"oracle_agrees": theta_inverse_oracle(g) == f,
-                  "round_trip": theta(f) == g}
-        _emit(args, command, spec, str(f), checks)
-        if not all(checks.values()):
-            raise VerificationFailure("theta inversion checks failed")
-        return 0
-    if command == "res":
-        sigma = parse_automorphism(args.aut, spec, A1)
-        r = res(sigma)
-        checks = {"jacobian_one": r.jacobian_value == spec.one(),
-                  "degree_preserved": r.degree_in == r.degree_out}
-        _emit(args, command, spec, str(r.image), checks)
-        return 0
-    if command == "res-inv":
-        g = parse_automorphism(args.aut, spec, Z)
-        sigma = res_inverse(g)
-        checks = {"restriction_round_trip": res(sigma).image == g}
-        _emit(args, command, spec, str(sigma), checks)
-        if not all(checks.values()):
-            raise VerificationFailure("res o res_inverse is not the identity")
-        return 0
-    if command == "decompose":
-        g = parse_automorphism(args.aut, spec, Z)
-        word = decompose(g)
-        checks = {"realize_matches": realize(word) == g}
-        _emit(args, command, spec, str(word), checks)
-        if not all(checks.values()):
-            raise VerificationFailure("decomposition does not realize back")
-        return 0
-    if command == "compose":
-        a = parse_automorphism(args.aut_a, spec, args.target)
-        b = parse_automorphism(args.aut_b, spec, args.target)
-        _emit(args, command, spec, str(compose(a, b)), {})
-        return 0
-    if command == "jacobian":
-        g = parse_automorphism(args.aut, spec, Z)
-        jac = g.jacobian()
-        checks = {"constant": not (set(jac.coeffs) - {(0, 0)}),
-                  "nonzero": not jac.is_zero()}
-        _emit(args, command, spec, str(jac), checks)
-        return 0
-    if command == "fuzz":
-        if args.count < 1:
-            raise UsageError("--count must be positive")
-        rng = random.Random(args.seed)
-        report = run_suite(args.suite, spec, args.count, rng)
-        _emit(args, command, spec, report.summary(),
-              {"all_passed": report.all_passed})
-        if not report.all_passed:
-            raise VerificationFailure("fuzz suite found failures")
-        return 0
-    raise AssertionError("unhandled command %r" % command)
+    result, checks = _COMMANDS[args.command][0](args, spec)
+    if args.json:
+        print(json.dumps({"kind": args.command, "field": str(spec),
+                          "result": result, "checks": checks}))
+    else:
+        print(result)
+    return int(args.command in _VERDICTS and not all(checks.values()))
 
 
 def main(argv=None) -> int:
@@ -164,8 +157,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except VerificationFailure:
-        return 1
     except NotAnAutomorphismError as exc:
         print("error: not an automorphism: %s" % exc, file=sys.stderr)
         return 1

@@ -181,14 +181,17 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.inv() ** (-e)
-        result = self.spec.one()
-        base = self
+        # square and multiply on reduced codes; the code of one is 1
+        spec = self.spec
+        codes, value = spec.codec._codes, spec.codec.value
+        result, base = 1, codes[self.val]
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = codes[value(result * base)]
             e >>= 1
-        return result
+            if e:
+                base = codes[value(base * base)]
+        return spec._elts[value(result)]
 
     def frobenius(self) -> "FieldElement":
         """a -> a^p, a field automorphism fixing F_p."""

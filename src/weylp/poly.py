@@ -321,10 +321,6 @@ class UniPoly(_Sparse):
     def variable(cls, ring, var: str = "x") -> "UniPoly":
         return cls(ring, {1: ring.one()}, var)
 
-    @classmethod
-    def from_coeff_list(cls, ring, coeffs, var: str = "x") -> "UniPoly":
-        return cls(ring, {e: ring.coerce(c) for e, c in enumerate(coeffs)}, var)
-
     def _names(self) -> list[str]:
         return [self.var]
 

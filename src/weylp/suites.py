@@ -1,8 +1,10 @@
 """Randomized verification suites and the deterministic input generators
-behind them.  Each suite runs ``count`` independent cases drawn from a seeded
-generator and reports how many passed together with the first failing input
-in re-parseable form; the CLI ``fuzz`` command and the acceptance tests are
-both built on these.
+behind them.  A suite is one check per case, ``case(spec, rng, i)``: it
+draws case i's input from the seeded ``rng`` and returns None when the
+check passes, else the input in re-parseable form.  SUITES maps each suite
+name to its check, and run_suite runs ``count`` cases into a SuiteReport:
+how many passed and the failing inputs.  The CLI ``fuzz`` command and the
+acceptance tests are both built on these.
 """
 
 from __future__ import annotations
@@ -142,169 +144,129 @@ def _mat_str(matrix, translation) -> str:
 
 
 # ----------------------------------------------------------------------
-# suites
+# suites: one check per case, None when case i passes, else the failing
+# input in re-parseable form
 
 
-def suite_thm17(spec: FieldSpec, count: int, rng) -> SuiteReport:
-    """(d + f)^p = d^p + f^{(p-1)} + f^p over the field, deg f <= 3p."""
-    report = SuiteReport("thm17", count, 0)
-    for _ in range(count):
-        f = random_unipoly(rng, spec, 3 * spec.p)
-        if verify_pth_power_identity(f):
-            report.passes += 1
-        else:
-            report.failures.append(str(f))
-    return report
+def thm17(ring, rng, i):
+    """(d + f)^p = d^p + f^{(p-1)} + f^p over ``ring``, deg f <= 3p."""
+    f = random_unipoly(rng, ring, 3 * ring.characteristic)
+    return None if verify_pth_power_identity(f) else str(f)
 
 
-def suite_thm17_ring(spec: FieldSpec, count: int, rng) -> SuiteReport:
+def thm17_ring(spec: FieldSpec, rng, i):
     """The same identity with coefficients in K[t], deg_t <= 3."""
-    ring = PolyRing(spec)
-    report = SuiteReport("thm17-ring", count, 0)
-    for _ in range(count):
-        f = random_unipoly(rng, ring, 3 * spec.p)
-        if verify_pth_power_identity(f):
-            report.passes += 1
-        else:
-            report.failures.append(str(f))
-    return report
+    return thm17(PolyRing(spec), rng, i)
 
 
-def suite_cor22(spec: FieldSpec, count: int, rng) -> SuiteReport:
+def cor22(spec: FieldSpec, rng, i):
     """The A_2 analogue on random f(x1, x2), deg <= 6, both axes."""
-    report = SuiteReport("cor22", count, 0)
-    for _ in range(count):
-        f = random_xpoly2(rng, spec, 6)
-        axis = rng.randrange(2)
-        if verify_pth_power_identity_2vars(f, axis):
-            report.passes += 1
-        else:
-            report.failures.append("axis=%d f=%s" % (axis + 1, f))
-    return report
+    f = random_xpoly2(rng, spec, 6)
+    axis = rng.randrange(2)
+    if verify_pth_power_identity_2vars(f, axis):
+        return None
+    return "axis=%d f=%s" % (axis + 1, f)
 
 
-def suite_theta_rt(spec: FieldSpec, count: int, rng) -> SuiteReport:
+def theta_rt(spec: FieldSpec, rng, i):
     """theta round trip, closed form vs oracle, leading-term law."""
-    report = SuiteReport("theta-rt", count, 0)
     p = spec.p
-    for _ in range(count):
-        f = random_unipoly(rng, spec, 3 * p * p)
-        g = theta(f)
-        ok = theta_inverse(g) == f and theta_inverse_oracle(g) == f
-        if ok and not f.is_zero():
-            df, cf = f.leading_term()
-            dg, cg = g.leading_term()
-            ok = dg == p * df and cg == cf ** p
-        if ok:
-            report.passes += 1
-        else:
-            report.failures.append(str(f))
-    return report
+    f = random_unipoly(rng, spec, 3 * p * p)
+    g = theta(f)
+    ok = theta_inverse(g) == f and theta_inverse_oracle(g) == f
+    if ok and not f.is_zero():
+        df, cf = f.leading_term()
+        dg, cg = g.leading_term()
+        ok = dg == p * df and cg == cf ** p
+    return None if ok else str(f)
 
 
-def suite_res_rt(spec: FieldSpec, count: int, rng) -> SuiteReport:
+def res_rt(spec: FieldSpec, rng, i):
     """res then res_inverse on random A_1 words, with the image invariants."""
-    report = SuiteReport("res-rt", count, 0)
-    for _ in range(count):
-        word = random_word(rng, spec, A1)
-        sigma = realize(word)
-        try:
-            r = res(sigma)
-            ok = (in_gamma(r.image) and r.degree_in == r.degree_out
-                  and res_inverse(r.image) == sigma)
-        except (ValueError, AssertionError):
-            ok = False
-        if ok:
-            report.passes += 1
-        else:
-            report.failures.append(str(word))
-    return report
+    word = random_word(rng, spec, A1)
+    sigma = realize(word)
+    try:
+        r = res(sigma)
+        if (in_gamma(r.image) and r.degree_in == r.degree_out
+                and res_inverse(r.image) == sigma):
+            return None
+    except (ValueError, AssertionError):
+        pass
+    return str(word)
 
 
-def suite_res2_affine(spec: FieldSpec, count: int, rng) -> SuiteReport:
+def res2_affine(spec: FieldSpec, rng, i):
     """Closed affine restriction formula vs brute force on SL_2 + shifts."""
-    report = SuiteReport("res2-affine", count, 0)
-    for _ in range(count):
-        matrix = random_sl2(rng, spec)
-        translation = (spec.random_element(rng), spec.random_element(rng))
-        fast = res_affine(spec, matrix, translation)
-        brute = res(a1_affine_images(spec, matrix, translation)).image
-        if fast == brute:
-            report.passes += 1
-        else:
-            report.failures.append(_mat_str(matrix, translation))
-    return report
+    matrix = random_sl2(rng, spec)
+    translation = (spec.random_element(rng), spec.random_element(rng))
+    fast = res_affine(spec, matrix, translation)
+    if fast == res(a1_affine_images(spec, matrix, translation)).image:
+        return None
+    return _mat_str(matrix, translation)
 
 
-def suite_resn_affine(spec: FieldSpec, count: int, rng) -> SuiteReport:
+def resn_affine(spec: FieldSpec, rng, i):
     """Closed affine restriction for A_2 vs brute force on Sp_4 + shifts."""
-    report = SuiteReport("resn-affine", count, 0)
-    for i in range(count):
-        matrix = random_symplectic4(rng, spec, force_correction=(i % 5 == 0))
-        translation = tuple(spec.random_element(rng) for _ in range(4))
-        if not is_symplectic(matrix, spec):
-            report.failures.append(_mat_str(matrix, translation))
-            continue
-        if (res_n_affine(spec, matrix, translation)
-                == res_n_affine_bruteforce(spec, matrix, translation)):
-            report.passes += 1
-        else:
-            report.failures.append(_mat_str(matrix, translation))
-    return report
+    matrix = random_symplectic4(rng, spec, force_correction=(i % 5 == 0))
+    translation = tuple(spec.random_element(rng) for _ in range(4))
+    if is_symplectic(matrix, spec) and (
+            res_n_affine(spec, matrix, translation)
+            == res_n_affine_bruteforce(spec, matrix, translation)):
+        return None
+    return _mat_str(matrix, translation)
 
 
-def suite_relations(spec: FieldSpec, count: int, rng) -> SuiteReport:
+def relations(spec: FieldSpec, rng, i):
     """The five generator relations, verified at image level:
     s t_mu = t_{1/mu} s,  s gamma_mu = gamma_mu t_{1/mu} s,
     phi t_mu and phi gamma_mu rescalings,  s^2 = t_{-1}."""
-    report = SuiteReport("relations", count, 0)
-    one = spec.one()
 
     def images(*gens):
         return realize(AutWord(spec, Z, list(gens)))
 
-    for _ in range(count):
-        mu = spec.random_nonzero(rng)
-        lam = spec.random_element(rng)
-        i = rng.randint(0, 4)
-        phi = GenPhi(UniPoly.monomial(spec, i, lam, "X")
-                     if not lam.is_zero() else UniPoly.zero(spec, "X"))
-        mu_inv = mu.inv()
-        checks = [
-            images(GenS(), GenT(mu)) == images(GenT(mu_inv), GenS()),
-            images(GenS(), GenGamma(mu))
-            == images(GenGamma(mu), GenT(mu_inv), GenS()),
-            images(phi, GenT(mu))
-            == images(GenT(mu),
-                      GenPhi(phi.payload.scale(mu_inv ** (i + 1)))),
-            images(phi, GenGamma(mu))
-            == images(GenGamma(mu),
-                      GenPhi(phi.payload.scale(mu_inv ** i))),
-            images(GenS(), GenS()) == images(GenT(-one)),
-        ]
-        if all(checks):
-            report.passes += 1
-        else:
-            report.failures.append("mu=%s lambda=%s i=%d" % (mu, lam, i))
-    return report
+    mu = spec.random_nonzero(rng)
+    lam = spec.random_element(rng)
+    k = rng.randint(0, 4)
+    phi = GenPhi(UniPoly.monomial(spec, k, lam, "X")
+                 if not lam.is_zero() else UniPoly.zero(spec, "X"))
+    mu_inv = mu.inv()
+    checks = [
+        images(GenS(), GenT(mu)) == images(GenT(mu_inv), GenS()),
+        images(GenS(), GenGamma(mu))
+        == images(GenGamma(mu), GenT(mu_inv), GenS()),
+        images(phi, GenT(mu))
+        == images(GenT(mu), GenPhi(phi.payload.scale(mu_inv ** (k + 1)))),
+        images(phi, GenGamma(mu))
+        == images(GenGamma(mu), GenPhi(phi.payload.scale(mu_inv ** k))),
+        images(GenS(), GenS()) == images(GenT(-spec.one())),
+    ]
+    return None if all(checks) else "mu=%s lambda=%s i=%d" % (mu, lam, k)
 
 
 SUITES = {
-    "thm17": suite_thm17,
-    "thm17-ring": suite_thm17_ring,
-    "cor22": suite_cor22,
-    "theta-rt": suite_theta_rt,
-    "res-rt": suite_res_rt,
-    "res2-affine": suite_res2_affine,
-    "resn-affine": suite_resn_affine,
-    "relations": suite_relations,
+    "thm17": thm17,
+    "thm17-ring": thm17_ring,
+    "cor22": cor22,
+    "theta-rt": theta_rt,
+    "res-rt": res_rt,
+    "res2-affine": res2_affine,
+    "resn-affine": resn_affine,
+    "relations": relations,
 }
 
 
 def run_suite(name: str, spec: FieldSpec, count: int, rng) -> SuiteReport:
+    """Run case i = 0..count-1 of suite ``name``, drawing from ``rng``."""
     try:
-        fn = SUITES[name]
+        case = SUITES[name]
     except KeyError:
         raise UsageError("unknown suite %r (choose from %s)"
                          % (name, ", ".join(sorted(SUITES))))
-    return fn(spec, count, rng)
+    report = SuiteReport(name, count, 0)
+    for i in range(count):
+        failure = case(spec, rng, i)
+        if failure is None:
+            report.passes += 1
+        else:
+            report.failures.append(failure)
+    return report

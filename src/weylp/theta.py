@@ -166,14 +166,14 @@ def theta_inverse(g: UniPoly) -> UniPoly:
     _require_support(g, p, "argument")
     mu = xp_components(g)
     s = delta_geometric(mu[p - 1])
-    s_root = s.inv_frobenius()  # F^{-1}(S) in K[x^p]
+    nu = xp_components(s.inv_frobenius())  # pi_i F^{-1}(S), i < p
     out = UniPoly.zero(g.ring, g.var)
     for i in range(p - 1):
-        lam = mu[i].inv_frobenius() + pi_component(s_root, i).inv_frobenius()
+        lam = mu[i].inv_frobenius() + nu[i].inv_frobenius()
         out = out + lam.shift(i)
     lam_top = UniPoly.zero(g.ring, g.var)
     for i in range(p - 1):
-        lam_top = lam_top + pi_component(s_root, i).shift(p * i)
+        lam_top = lam_top + nu[i].shift(p * i)
     lam_top = lam_top + (s - mu[p - 1]).shift(p * (p - 1))
     return out + lam_top.shift(p - 1)
 

@@ -1,8 +1,11 @@
+import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from weylp import FieldSpec, run_suite
 from weylp.cli import main
 
 # byte-exact golden outputs, at least one per subcommand, fixed-seed fuzz
@@ -151,3 +154,91 @@ def test_module_invocation_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "x^2+1\n"
+
+
+# Failure paths, which no golden reaches: each suite's check is patched to
+# fail.  The failing inputs of three cases at p = 3, seed 1 are pinned
+# literals, so the draw order of every case is pinned with them.
+FAILING_CASES = {
+    "thm17": ("verify_pth_power_identity", lambda f: False,
+              ["2*x^2+2", "2*x+1", "2*x^7+x^6+x^4+x+2"]),
+    "thm17-ring": ("verify_pth_power_identity", lambda f: False,
+                   ["(t^3+t^2+2*t+1)*x^2+x+1", "(t^3+2*t+1)*x+(t^3+t^2+t)",
+                    "(t+1)*x^5+(2*t+1)*x^4+(t+1)*x^3+x^2+2*x"]),
+    "cor22": ("verify_pth_power_identity_2vars", lambda f, axis: False,
+              ["axis=1 f=x1+2",
+               "axis=1 f=x1^3+x1^2*x2+x1*x2^2+x2^3+2*x2^2+x2+1",
+               "axis=2 f=2*x1^4*x2+2*x1^3*x2^2+x1^3*x2+2*x1^2*x2^3"
+               "+x1^2*x2^2+2*x1^2+2*x1*x2^4+x1+2*x2^4+2*x2^2+x2+1"]),
+    "theta-rt": ("theta_inverse_oracle", lambda g: None,
+                 ["2*x^4+x^2+2",
+                  "x^24+2*x^23+x^19+2*x^17+2*x^15+x^14+x^13+2*x^12+2*x^10"
+                  "+x^9+x^8+x^6+x^3+2*x^2+x+1",
+                  "x^12+x^11+2*x^9+x^8+x^7+2*x^5+2*x^3+x^2+2"]),
+    "res-rt": ("in_gamma", lambda images: False,
+               ["s phi[1]", "phi[x^3+x^2] phi[2*x^3+2*x^2+2] phi[x+2] phi[0]",
+                "s"]),
+    "res2-affine": ("res_affine", lambda *args: None,
+                    ["A=[1,1;1,2] a=(2,1)", "A=[1,1;0,1] a=(2,1)",
+                     "A=[1,2;0,1] a=(0,2)"]),
+    "resn-affine": ("res_n_affine", lambda *args: None,
+                    ["A=[1,2,1,2;2,2,1,1;0,0,2,1;0,0,1,1] a=(2,0,2,0)",
+                     "A=[2,0,2,2;2,2,1,2;0,0,2,1;0,0,0,2] a=(1,2,2,0)",
+                     "A=[1,1,1,0;0,1,0,0;0,0,1,0;0,0,2,1] a=(2,0,1,2)"]),
+    "relations": ("realize", lambda word: object(),
+                  ["mu=1 lambda=2 i=0", "mu=2 lambda=0 i=3",
+                   "mu=2 lambda=1 i=3"]),
+}
+
+
+@pytest.mark.parametrize("suite", ["thm17", "cor22", "resn-affine"])
+def test_fuzz_failure_exits_1(suite, monkeypatch, capsys):
+    name, fake, failures = FAILING_CASES[suite]
+    monkeypatch.setattr("weylp.suites." + name, fake)
+    code = main(["fuzz", suite, "--field", "p=3", "--count", "3",
+                 "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ("0/3 OK, 3 FAILED; first failure: %s\n"
+                            % failures[0])
+
+
+@pytest.mark.parametrize("suite", sorted(FAILING_CASES))
+def test_suite_failures_in_case_order(suite, monkeypatch):
+    name, fake, failures = FAILING_CASES[suite]
+    monkeypatch.setattr("weylp.suites." + name, fake)
+    report = run_suite(suite, FieldSpec(3), 3, random.Random(1))
+    assert (report.name, report.passes, report.failures) == (suite, 0,
+                                                             failures)
+
+
+@pytest.mark.parametrize("argv,result", [
+    (["pow-check", "--field", "p=2", "x"], "FAIL: (d+x)^2 = d^2+x^2+1"),
+    (["pow-check", "--field", "p=3", "x^2", "--json"],
+     '{"kind": "pow-check", "field": "p=3", "result": '
+     '"FAIL: (d+x^2)^3 = d^3+x^6+2", "checks": {"identity": false}}'),
+], ids=["plain", "json"])
+def test_pow_check_failure_exits_1(argv, result, monkeypatch, capsys):
+    monkeypatch.setattr("weylp.cli.verify_pth_power_identity",
+                        lambda f: False)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == result + "\n"
+
+
+@pytest.mark.parametrize("argv,name,fake,result", [
+    (["theta-inv", "--field", "p=2", "x^2"], "theta_inverse_oracle",
+     lambda g: None, "x+1"),
+    (["res-inv", "--field", "p=2", "phi[X]"], "res",
+     lambda sigma: SimpleNamespace(image=None), "(x; x+d+1)"),
+    (["decompose", "--field", "p=3", "(Y; 2*X)"], "realize",
+     lambda word: None, "s"),
+], ids=["theta-inv", "res-inv", "decompose"])
+def test_verdict_failure_exits_1(argv, name, fake, result, monkeypatch,
+                                 capsys):
+    monkeypatch.setattr("weylp.cli." + name, fake)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == result + "\n"

@@ -205,3 +205,19 @@ def test_arithmetic_matches_schoolbook_oracle(p, n):
         assert a.frobenius() is spec.element(field_pow_schoolbook(spec, x, p))
         root = a.inv_frobenius().coeffs
         assert field_pow_schoolbook(spec, root, p) == x
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (13, 1)])
+def test_pow_matches_schoolbook_oracle(p, n):
+    spec = FieldSpec(p, n)
+    one = spec.one().coeffs
+    assert spec.zero() ** 0 is spec.one()
+    for a in spec.elements():
+        x = a.coeffs
+        for e in range(2 * spec.q + 1):
+            assert a ** e is spec.element(field_pow_schoolbook(spec, x, e))
+        if a:
+            for e in range(1, 4):
+                assert field_mul_schoolbook(
+                    spec, (a ** -e).coeffs,
+                    field_pow_schoolbook(spec, x, e)) == one

@@ -1,0 +1,70 @@
+"""Checks on the package source itself: the public names, and no import
+that a module never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import weylp
+
+SOURCE = Path(weylp.__file__).parent
+MODULES = sorted(SOURCE.glob("*.py"))
+
+
+def test_public_names_unchanged():
+    assert sorted(weylp.__all__) == [
+        "A1", "AutImages", "AutWord", "BiPoly", "FieldElement", "FieldSpec",
+        "GenAffine", "GenGamma", "GenPhi", "GenS", "GenT",
+        "NotAnAutomorphismError", "ParseError", "PolyRing", "ResResult",
+        "SUITES", "SuiteReport", "UniPoly", "WeylElement", "Z",
+        "a1_affine_images", "apply_images", "compose", "decompose", "delta",
+        "delta_geometric", "delta_iterated", "identity_images", "in_gamma",
+        "invert", "invert_word", "is_symplectic", "jacobian",
+        "lucas_binomial", "normalize_word", "p_recompose",
+        "parse_automorphism", "parse_bipoly", "parse_field_element",
+        "parse_field_spec", "parse_images", "parse_unipoly", "parse_weyl",
+        "parse_word", "pi_component", "pi_component_via_operators",
+        "realize", "res", "res_affine", "res_inverse", "res_n_affine",
+        "res_n_affine_bruteforce", "res_phi", "run_suite", "symplectic_form",
+        "theta", "theta_inverse", "theta_inverse_oracle",
+        "verify_pth_power_identity", "verify_pth_power_identity_2vars",
+        "xp_components", "z_affine_images",
+    ]
+
+
+def _imported(tree):
+    """(bound name, line) of every import, at any depth, except
+    ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used(tree):
+    """Names read anywhere in the module: identifiers and the strings of
+    ``__all__`` (an annotation that names an import in quotes is not
+    seen)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = _used(tree)
+    unused = ["%s (line %d)" % (name, line)
+              for name, line in _imported(tree) if name not in used]
+    assert not unused, "%s imports names it never uses: %s" % (
+        path.name, ", ".join(unused))
