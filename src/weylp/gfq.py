@@ -380,8 +380,8 @@ class FieldCodec:
     coefficients of g^n .. g^{2n-2} through the modulus (FieldSpec._red),
     then every coordinate mod p.  FieldElement's sum, negation and product
     are one int operation on codes and one fold; inside a polynomial or Weyl
-    product, codes are added and multiplied as plain ints and reduce() and
-    decode() fold once per product.  check_pairs() guards the stride.
+    product, codes are added and multiplied as plain ints and decode() folds
+    once per product.  check_pairs() guards the stride.
     """
 
     zero = 0
@@ -441,12 +441,6 @@ class FieldCodec:
         for shift in self._shifts:
             v = v * p + (r >> shift & _CODE_MASK) % p
         return v
-
-    def reduce(self, acc: dict) -> dict:
-        """Unreduced codes to reduced ones (coordinates below p); zeros
-        dropped."""
-        codes, value = self._codes, self.value
-        return {k: codes[v] for k, c in acc.items() if (v := value(c))}
 
     def decode(self, acc: dict) -> dict:
         """Codes to this field's own interned elements; zeros dropped."""

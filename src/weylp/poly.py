@@ -13,11 +13,11 @@ that exponent sums never carry from one slot into the next, and coefficients
 are replaced by the codes of their ring's codec (residues for F_p,
 coordinates at a 64-bit stride for F_{p^n}, the elements themselves for
 K[t]).  The kernel only adds and multiplies codes; the codec reduces once per
-product and hands back the ring's own interned elements, and the keys are
-unpacked once at the end.  UniPoly and BiPoly hand the kernel their
+product and hands back the ring's own interned elements, zeros dropped, so
+the result is built without the constructor's filtering pass, and the keys
+are unpacked once at the end.  UniPoly and BiPoly hand the kernel their
 operands; WeylElement hands it the divided derivatives of its commutation
-rule, and keeps its powers packed and coded from the first factor to the
-last.
+rule (its powers over a field run on packed rows instead, in weyl.py).
 
 Also here is the characteristic-p tooling everything above is built from:
 divided powers d^[k] = d^k/k! via Lucas binomials (exact even when k!
@@ -142,6 +142,15 @@ class _Sparse:
 
     def _like(self, coeffs: dict):
         return type(self)(self.ring, coeffs, self._shape())
+
+    def _from_nonzero(self, coeffs: dict):
+        """Like _like, for ``coeffs`` that hold no zero coefficient (the
+        results of products, whose codecs drop zeros): no filtering pass."""
+        out = object.__new__(type(self))
+        out.ring = self.ring
+        out.coeffs = coeffs
+        setattr(out, self._SHAPE, self._shape())
+        return out
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -351,8 +360,8 @@ class UniPoly(_Sparse):
             isinstance(self.ring, PolyRing) and other.var == self.ring.var)
 
     def _product(self, other: "UniPoly") -> "UniPoly":
-        return self._like(_coded_product(self.ring.codec, self.coeffs,
-                                         other.coeffs))
+        return self._from_nonzero(_coded_product(
+            self.ring.codec, self.coeffs, other.coeffs))
 
     # -- calculus and base-p structure ----------------------------------
 
@@ -475,9 +484,9 @@ class BiPoly(_Sparse):
     def _product(self, other: "BiPoly") -> "BiPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return self._like({})
+            return self._from_nonzero({})
         w = _width(a, b)
-        return self._like(_unpack(
+        return self._from_nonzero(_unpack(
             _coded_product(self.ring.codec, _pack(a, w), _pack(b, w)), w, 2))
 
     def derivative(self, axis: int, k: int = 1) -> "BiPoly":
@@ -595,5 +604,3 @@ class _PolyCodec:
 
     def decode(self, acc: dict) -> dict:
         return {k: c for k, c in acc.items() if c.coeffs}
-
-    reduce = decode

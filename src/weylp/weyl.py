@@ -16,13 +16,23 @@ of the ring's codec; each k takes divided derivatives on the packed keys,
 with binom(m, k) mod p = binom(m mod p, k) from a p x p table kept per p
 (k < p), scales the codes by k! and hands the pair to the shared product
 kernel poly._mul_into.  Every k accumulates into one map of unreduced codes,
-which the codec reduces once and which is unpacked at the end.  Powers stay
-in that packed, coded form from the first factor to the last: the base is
-packed at the key width of the final power and encoded once, each step is
-reduced, and the result is decoded and unpacked once.  Everything else
-(addition, scaling, equality, printing, substitution) is the shared sparse
-base of poly.py.  A term-by-term rewriting multiplier lives in the test
-suite as an independent oracle for this routine.
+which the codec reduces once and which is unpacked at the end.
+
+Powers over a field, the brute-force p-th powers behind res and the
+identity checks, are a chain acc <- acc * a on rows instead (the operator-
+by-blocks view of van der Hoeven, "FFT-like multiplication of linear
+differential operators", 2002, with Kronecker packing).  A row of acc is
+keyed by its d-exponents and holds its x-polynomial as one int, one x-slot
+per x-exponent (Kronecker in x1 and x2 for A_2), each x-slot holding the
+2n - 1 coefficients in g of an unreduced product of F_{p^n} codes at a
+sub-slot width proven wide enough for the chain.  The divided x-derivatives
+of a are packed once; each step costs one bigint product per pair of rows
+and one whole-row fold and mod-p reduction per output row (a Barrett step
+on every sub-slot at once), and the rows are decoded once at the end.  Over
+K[t] a power is plain repeated products.  Everything else (addition,
+scaling, equality, printing, substitution) is the shared sparse base of
+poly.py.  A term-by-term rewriting multiplier lives in the test suite as an
+independent oracle for both routines.
 
 The module also hosts the brute-force checks of the p-th power identity
 (d + f)^p = d^p + f^{(p-1)} + f^p, in A_1 over fields and over K[t], and its
@@ -110,40 +120,33 @@ class WeylElement(_Sparse):
     def _product(self, other: "WeylElement") -> "WeylElement":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return self._like({})
+            return self._from_nonzero({})
         codec = self.ring.codec
         w = _width(a, b)
         acc = _weyl_mul(codec, self.ring.characteristic, self.n,
                         codec.encode(_pack(a, w)), codec.encode(_pack(b, w)),
-                        w, {})
-        return self._like(_unpack(codec.decode(acc), w, 2 * self.n))
+                        w)
+        return self._from_nonzero(
+            _unpack(codec.decode(acc), w, 2 * self.n))
 
     def __pow__(self, k: int) -> "WeylElement":
         # repeated multiplication, not the base's square-and-multiply: a
-        # step a^k * a costs |a^k| |a| term pairs, a square |a^k|^2.  The
-        # chain stays packed and coded from the first factor to the last, at
-        # the key width of the final power, reducing once per step, and the
-        # divided derivatives of the base are taken once.  Time in powers
-        # per pass of the benchmark's restriction workload (seed 1, min of 5
-        # passes, three alternations, 2-vCPU Xeon): 0.15-0.20 s, against
-        # 0.24-0.25 s for square-and-multiply through the same coded
-        # products and 0.45-0.48 s for unpacked repeated multiplication
-        # with field-element coefficients
+        # step a^k * a costs |a^k| |a| term pairs, a square |a^k|^2.  Over a
+        # field the chain runs on packed rows (_row_power); over K[t] it is
+        # plain repeated products
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         if k == 0:
             return WeylElement.one(self.ring, self.n)
         if not self.coeffs:
-            return self._like({})
-        codec, p = self.ring.codec, self.ring.characteristic
-        w = (k * max(map(max, self.coeffs))).bit_length()
-        base = codec.encode(_pack(self.coeffs, w))
-        base_parts: dict = {}
-        acc = base
-        for _ in range(k - 1):
-            acc = codec.reduce(
-                _weyl_mul(codec, p, self.n, acc, base, w, base_parts))
-        return self._like(_unpack(codec.decode(acc), w, 2 * self.n))
+            return self._from_nonzero({})
+        if not self.ring.is_field:
+            result = self
+            for _ in range(k - 1):
+                result = result * self
+            return result
+        return self._from_nonzero(
+            _row_power(self.ring, self.n, self.coeffs, k))
 
     def commutator(self, other: "WeylElement") -> "WeylElement":
         return self * other - other * self
@@ -195,13 +198,10 @@ def _lucas_tables(p: int) -> tuple:
     return binom, fact
 
 
-def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int,
-              b_parts: dict) -> dict:
+def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int) -> dict:
     """Unreduced codes of the product of A_n elements given by packed keys
     (slot width w) and reduced codes of ``codec``, over characteristic p:
-    sum over k of k! (d/d_xi)^[k]a * (d/dx)^[k]b.  ``b_parts`` caches the
-    divided derivatives of b by k, for callers that multiply by b
-    repeatedly."""
+    sum over k of k! (d/d_xi)^[k]a * (d/dx)^[k]b."""
     mask = (1 << w) - 1
     # per-axis orders: a only differentiates in d's, b in x's
     ranges = [range(min(p, 1 + max([key >> (n + s) * w & mask for key in a]),
@@ -214,10 +214,8 @@ def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int,
     zero = codec.zero
     acc: dict = {}
     for k in ks:
-        B = b_parts.get(k)
-        if B is None:
-            B = b_parts[k] = _divided_derivative(
-                b, [(s * w, e) for s, e in enumerate(k) if e], w, binom, p, 1)
+        B = _divided_derivative(
+            b, [(s * w, e) for s, e in enumerate(k) if e], w, binom, p, 1)
         if not B:
             continue
         scalar = 1
@@ -253,6 +251,182 @@ def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
             f %= p
             out[key] = c * f if f != 1 else c
     return out
+
+
+class _RowLayout:
+    """Coefficient slots of the rows of a power chain over F_{p^n}.
+
+    A row is an x-polynomial packed into one int: one x-slot of X bits per
+    x-exponent, each holding the 2n - 1 coefficients of a product of two
+    codes as polynomials in g, one per sub-slot of S bits.  ``bound`` is an
+    upper bound on every coefficient that a step produces, taken after the
+    fold of g^n .. g^{2n-2}; with V = bound.bit_length(), t = V +
+    p.bit_length() and S >= V + t + 1 (rounded up to whole bytes), neither
+    a step's products nor the reduction's multiply by the Barrett constant
+    m = 2^t // p + 1 carry from one sub-slot into the next, and for v < 2^V
+    the quotient (v * m) >> t is exactly v // p.  ``slots`` is the number
+    of x-slots of the longest row (the final power's)."""
+
+    def __init__(self, spec, bound: int, slots: int):
+        p, n = spec.p, spec.n
+        V = bound.bit_length()
+        self.p, self.n, self.t = p, n, V + p.bit_length()
+        self.m = (1 << self.t) // p + 1
+        self.sb = sb = (V + self.t + 8) // 8    # bytes per sub-slot
+        self.xb = (2 * n - 1) * sb              # bytes per x-slot
+        self.S = S = 8 * sb
+        self.X = 8 * self.xb
+        ones, zeros = b"\xff" * sb, bytes(sb)
+
+        def replicated(xslot: bytes) -> int:
+            return int.from_bytes(xslot * slots, "little")
+
+        self.qmask = replicated(
+            ((1 << V) - 1).to_bytes(sb, "little") * n + zeros * (n - 1))
+        if n == 1:
+            return
+        # the fold: the coefficient of g^(n+k) in each x-slot, shifted down
+        # to sub-slot 0 and times the code of the image of g^(n+k) under the
+        # modulus (FieldSpec._red), lands in sub-slots 0 .. n - 1
+        self.low = replicated(ones * n + zeros * (n - 1))
+        self.sub = replicated(ones + zeros * (2 * n - 2))
+        self.folds = [(S * (n + k), self.encode(spec._pack(row)))
+                      for k, row in enumerate(spec._red)]
+
+    def encode(self, v: int) -> int:
+        """The element with index v in FieldSpec._elts, one coordinate per
+        sub-slot."""
+        if self.n == 1:
+            return v
+        code, p = 0, self.p
+        for shift in range(0, self.S * self.n, self.S):
+            code |= (v % p) << shift
+            v //= p
+        return code
+
+    def reduce(self, row: int) -> int:
+        """Every x-slot of ``row`` folded through the modulus and its
+        coordinates taken mod p, in whole-int operations."""
+        if self.n > 1:
+            low, sub = row & self.low, self.sub
+            for shift, image in self.folds:
+                low += (row >> shift & sub) * image
+            row = low
+        return row - self.p * (row * self.m >> self.t & self.qmask)
+
+    def decode(self, row: int):
+        """Element indices of the x-slots of a reduced row, lowest first."""
+        xb = self.xb
+        data = row.to_bytes(-(-row.bit_length() // (8 * xb)) * xb, "little")
+        if self.n == 1:
+            return data[::xb]
+        # a coordinate is below p, so it is the low byte of its sub-slot
+        p, sb = self.p, self.sb
+        cols = [data[c * sb::xb] for c in range(self.n)]
+        vals = cols.pop()
+        while cols:
+            col = cols.pop()
+            vals = [c + p * v for c, v in zip(col, vals)]
+        return vals
+
+
+@lru_cache(maxsize=None)
+def _row_scalars(p: int, k1: int, k2: int) -> list:
+    """k! binom(j, k) mod p for the order k = (k1, k2) < p of the
+    commutation rule, indexed by j1 % p + p * (j2 % p): by Lucas,
+    binom(j, k) = binom(j mod p, k) mod p."""
+    binom, fact = _lucas_tables(p)
+    first = [fact[k1] * binom[m][k1] for m in range(p)]
+    return [a * fact[k2] * binom[m][k2] % p
+            for m in range(p) for a in first]
+
+
+def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
+    """The coefficients of a^k, k >= 1, for the A_n element a over the field
+    ``spec`` with (nonzero) ``coeffs``, as a chain of k - 1 steps
+    acc <- acc * a on rows.
+
+    A row of acc is keyed by its packed d-exponent vector and holds its
+    x-polynomial as one int (_RowLayout); x1^i1 x2^i2 sits in x-slot
+    i1 + D1 * i2, with D1 - 1 the final power's degree in x1, so that no
+    product wraps (in A_1, i2 = 0).  Per order k of the commutation rule,
+    the divided x-derivative of a is packed once per chain; a step
+    multiplies each acc row by k! binom(j, k) mod p (a scalar, as it depends
+    only on the row's d-exponents j), then by each row of that derivative,
+    one bigint product per row pair, and reduces each output row once.  The
+    rows are decoded to the field's elements at the end."""
+    p = spec.p
+    binom = _lucas_tables(p)[0]
+    codes, value = spec.codec._codes, spec.codec.value
+    top = list(map(max, zip(*coeffs)))
+    # the final power's x-degrees bound every row of the chain
+    d1 = k * top[0] + 1
+    slots = d1 * (k * top[1] + 1) if n == 2 else d1
+    wd = (k * max(top[n:])).bit_length() or 1       # bits per d-exponent
+    dmask = (1 << wd) - 1
+    if n == 1:
+        terms = [(i, 0, i, j, c.val) for (i, j), c in coeffs.items()]
+        ranges = (range(min(p, top[0] + 1, k * top[1] + 1)), (0,))
+    else:
+        terms = [(i1, i2, i1 + d1 * i2, j1 | j2 << wd, c.val)
+                 for (i1, i2, j1, j2), c in coeffs.items()]
+        ranges = (range(min(p, top[0] + 1, k * top[2] + 1)),
+                  range(min(p, top[1] + 1, k * top[3] + 1)))
+    # the divided x-derivatives of a, as (d-key, x-slot, element index)
+    # terms per order; binom(j, k) vanishes for j < k, so an order above a
+    # d-degree the chain reaches never contributes
+    orders = []
+    for k2 in ranges[1]:
+        for k1 in ranges[0]:
+            shift = k1 + d1 * k2
+            part = []
+            for i1, i2, x, j, v in terms:
+                f = binom[i1 % p][k1] * binom[i2 % p][k2]
+                if f and (f == 1 or (v := value(codes[v] * f))):
+                    part.append((j, x - shift, v))
+            if part:
+                orders.append((k1, k2, part))
+    # a coefficient of a step's output sums, per order, at most one pair per
+    # derivative term (at most |a| of them), each pair adding at most n
+    # products of an acc coordinate times its scalar (each below p) by a
+    # derivative coordinate (below p); the fold of g^n .. g^{2n-2} adds at
+    # most n - 1 further such sums times entries of FieldSpec._red (< p)
+    layout = _RowLayout(spec, len(orders) * len(coeffs) * spec.n
+                        * (p - 1) ** 3 * (1 + (spec.n - 1) * (p - 1)), slots)
+    X, encode = layout.X, layout.encode
+    parts = []
+    for k1, k2, part in orders:
+        rows: dict = {}
+        for j, x, v in part:
+            rows[j] = rows.get(j, 0) | encode(v) << X * x
+        parts.append((_row_scalars(p, k1, k2), k1 | k2 << wd,
+                      tuple(rows.items())))
+    # order 0 is a itself
+    acc = dict(parts[0][2])
+    reduce = layout.reduce
+    for _ in range(k - 1):
+        out: dict = {}
+        get = out.get
+        for ja, ra in acc.items():
+            r = (ja & dmask) % p + p * ((ja >> wd) % p)
+            for scalars, shift, rows in parts:
+                scalar = scalars[r]
+                if scalar:
+                    rs = ra * scalar
+                    jo = ja - shift
+                    for jb, rb in rows:
+                        key = jo + jb
+                        out[key] = get(key, 0) + rs * rb
+        acc = {j: row for j, raw in out.items() if (row := reduce(raw))}
+    elts = spec._elts
+    result = {}
+    for j, row in acc.items():
+        dkey = (j,) if n == 1 else (j & dmask, j >> wd)
+        for x, v in enumerate(layout.decode(row)):
+            if v:
+                xkey = (x,) if n == 1 else (x % d1, x // d1)
+                result[xkey + dkey] = elts[v]
+    return result
 
 
 def verify_pth_power_identity(f: UniPoly) -> bool:

@@ -1,15 +1,18 @@
 """The int-coded product kernel: codecs, powers of UniPoly/BiPoly by
-square-and-multiply, and Weyl powers that stay packed and coded from the
-first factor to the last."""
+square-and-multiply, and Weyl powers over fields as a chain on packed rows
+(weyl._row_power), checked against the left fold of products, which runs
+through the separate pair kernel."""
 
 import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylp import BiPoly, FieldSpec, PolyRing, UniPoly, WeylElement
 from weylp.gfq import CODE_STRIDE, SUPPORTED_PRIMES
-from weylp.weyl import _lucas_tables
+from weylp.weyl import _lucas_tables, _RowLayout, _row_scalars
 
 from helpers import mul_by_rewriting
 
@@ -19,6 +22,10 @@ F9 = FieldSpec(3, 2)        # small extension field
 F13 = FieldSpec(13)
 F13_3 = FieldSpec(13, 3)    # q = 2197
 KT = PolyRing(F3)
+# the fields of the row-chain property: every p-th power chain of the
+# benchmark's grid, and the largest field of the claimed domain
+ROW_FIELDS = [F2, F3, FieldSpec(2, 2), F9, F13, FieldSpec(13, 2),
+              FieldSpec(7, 3), FieldSpec(13, 4)]
 
 POWER_RINGS = [F2, F13, F9, F13_3, KT]
 
@@ -88,6 +95,29 @@ def weyl_base(ring, n):
                               (0, 1, 0, 0): u, (0, 0, 0, 0): c}, 2)
 
 
+def left_fold(a, k, mul=WeylElement.__mul__):
+    """a * a * ... * a (k factors), multiplied from the left."""
+    out = WeylElement.one(a.ring, a.n)
+    for _ in range(k):
+        out = mul(out, a)
+    return out
+
+
+@st.composite
+def field_weyl_elements(draw):
+    """An element of A_1 (up to 4 terms, exponents up to 3) or A_2 (up to 3
+    terms, exponents up to 1) over one of ROW_FIELDS, and an exponent k <=
+    p + 1."""
+    ring = draw(st.sampled_from(ROW_FIELDS))
+    n = draw(st.sampled_from([1, 2]))
+    top = 3 if n == 1 else 1
+    keys = draw(st.lists(st.tuples(*[st.integers(0, top)] * (2 * n)),
+                         min_size=1, max_size=5 - n, unique=True))
+    coeffs = {key: ring._elts[draw(st.integers(1, ring.q - 1))]
+              for key in keys}
+    return WeylElement(ring, coeffs, n), draw(st.integers(0, ring.p + 1))
+
+
 class TestPackedWeylPower:
     @pytest.mark.parametrize("ring", POWER_RINGS, ids=str)
     @pytest.mark.parametrize("n", [1, 2])
@@ -112,6 +142,79 @@ class TestPackedWeylPower:
         assert (zero ** 3).is_zero()
         c = WeylElement.constant(F9, F9.gen())
         assert c ** 5 == WeylElement.constant(F9, F9.gen() ** 5)
+
+
+class TestRowPower:
+    @given(case=field_weyl_elements())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_left_fold_of_products(self, case):
+        a, k = case
+        power = a ** k
+        assert power == left_fold(a, k)
+        if a.n == 1:
+            assert power == left_fold(a, k, mul_by_rewriting)
+
+    def test_all_top_dense_a2_base_at_p13_n4(self):
+        # every coordinate at p - 1 on every term: the largest coefficients
+        # a step can meet, over the field with the widest x-slots
+        spec = FieldSpec(13, 4)
+        keys = [(1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1),
+                (0, 0, 0, 0), (1, 0, 0, 1)]
+        a = WeylElement(spec, {key: all_top(spec) for key in keys}, 2)
+        assert a ** 13 == left_fold(a, 13)
+
+    @pytest.mark.parametrize("spec", [F13, FieldSpec(13, 4)], ids=str)
+    def test_d_plus_degree_39_all_top(self, spec):
+        # (d + f)^13 with deg f = 3p: 40 terms, the longest rows and the
+        # largest bound of criterion 1's family
+        f = WeylElement(spec, {(i, 0): all_top(spec) for i in range(40)}, 1)
+        a = WeylElement.d_gen(spec) + f
+        assert a ** 13 == left_fold(a, 13)
+
+    @pytest.mark.parametrize("spec", ROW_FIELDS, ids=str)
+    def test_reduction_at_its_bound(self, spec):
+        p, n = spec.p, spec.n
+        # the bound of a 40-term base over all p orders, as in (d + f)^p
+        bound = p * 40 * n * (p - 1) ** 3 * (1 + (n - 1) * (p - 1))
+        V, slots = bound.bit_length(), 6
+        layout = _RowLayout(spec, bound, slots)
+        assert layout.S >= V + layout.t + 1
+        rng = random.Random(p * 10 + n)
+
+        def packed(values):
+            return sum(v << layout.X * x + layout.S * c
+                       for x, slot in enumerate(values)
+                       for c, v in enumerate(slot))
+
+        def expected(values):
+            return [spec.codec.value(sum(v << CODE_STRIDE * c
+                                         for c, v in enumerate(slot)))
+                    for slot in values]
+
+        def reduced(values):
+            # decode stops at the highest nonzero x-slot
+            vals = list(layout.decode(layout.reduce(packed(values))))
+            return vals + [0] * (slots - len(vals))
+
+        # the Barrett step alone (nothing above g^{n-1} to fold): every
+        # coordinate at 2^V - 1, then random ones below 2^V, per-slot % p
+        top = (1 << V) - 1
+        for values in ([[top] * n] * slots,
+                       [[rng.randrange(1 << V) for _ in range(n)]
+                        for _ in range(slots)]):
+            row = layout.reduce(packed(values))
+            for x, slot in enumerate(values):
+                for c, v in enumerate(slot):
+                    assert (row >> layout.X * x + layout.S * c
+                            & (1 << layout.S) - 1) == v % p
+            assert reduced(values) == expected(values)
+        # the fold as well: all 2n - 1 coefficients at the largest value
+        # whose fold stays below 2^V, then random ones below it
+        raw = top // (1 + (n - 1) * (p - 1))
+        for values in ([[raw] * (2 * n - 1)] * slots,
+                       [[rng.randrange(raw + 1) for _ in range(2 * n - 1)]
+                        for _ in range(slots)]):
+            assert reduced(values) == expected(values)
 
 
 def interned(value, spec) -> bool:
@@ -165,9 +268,6 @@ class TestCodec:
                 acc += cx * cy
                 expected = expected + x * y
             assert codec.decode({0: acc}).get(0, spec.zero()) is expected
-            reduced = codec.reduce({0: acc})
-            assert reduced == ({} if expected.is_zero()
-                               else codec.encode({0: expected}))
 
     def test_stride_guard(self):
         codec = F13_3.codec
@@ -185,6 +285,43 @@ class TestCodec:
         assert KT.codec is KT.codec
 
 
+def random_term_map(rng, ring, arity, terms=4, top=2):
+    """Up to ``terms`` random terms, zero coefficients included."""
+    coeffs = {}
+    for _ in range(terms):
+        key = tuple(rng.randint(0, top) for _ in range(arity))
+        coeffs[key[0] if arity == 1 else key] = ring.random_element(rng)
+    return coeffs
+
+
+@pytest.mark.parametrize("ring", [F3, F9, F13_3, KT], ids=str)
+def test_products_and_powers_hold_no_zero_coefficient(ring):
+    # products and powers skip the constructor's zero filter, so their
+    # codecs and the row decode must drop every zero themselves
+    rng = random.Random(11)
+
+    def no_zero(value):
+        return all(not c.is_zero() for c in value.coeffs.values())
+
+    one, x = UniPoly.one(ring), UniPoly.variable(ring)
+    # cancellations: the x-coefficient of (x + 1)(x - 1), and (x + d)^p
+    assert no_zero((x + one) * (x - one))
+    xd = WeylElement.x_gen(ring) + WeylElement.d_gen(ring)
+    for k in range(ring.characteristic + 2):
+        assert no_zero(xd ** k)
+    for _ in range(30):
+        pairs = [(UniPoly(ring, random_term_map(rng, ring, 1)),
+                  UniPoly(ring, random_term_map(rng, ring, 1))),
+                 (BiPoly(ring, random_term_map(rng, ring, 2)),
+                  BiPoly(ring, random_term_map(rng, ring, 2)))]
+        pairs += [(WeylElement(ring, random_term_map(rng, ring, 2 * n), n),
+                   WeylElement(ring, random_term_map(rng, ring, 2 * n), n))
+                  for n in (1, 2)]
+        for a, b in pairs:
+            assert no_zero(a * b) and no_zero(b * a)
+            assert no_zero(a ** rng.randint(0, 3))
+
+
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
 def test_lucas_tables(p):
     # the Weyl product looks binom(m, k) mod p up as binom[m % p][k], k < p
@@ -193,3 +330,12 @@ def test_lucas_tables(p):
         for k in range(p):
             assert binom[m % p][k] == comb(m, k) % p
     assert fact == [factorial(k) % p for k in range(p)]
+    # the row chain scales a row with d-exponents (j1, j2) by
+    # k1! binom(j1, k1) k2! binom(j2, k2) mod p
+    for k1, k2 in [(0, 0), (p - 1, 0), (1, p - 1), (p // 2, 1)]:
+        scalars = _row_scalars(p, k1, k2)
+        for j1 in range(2 * p):
+            for j2 in range(2 * p):
+                assert scalars[j1 % p + p * (j2 % p)] == (
+                    factorial(k1) * comb(j1, k1) * factorial(k2)
+                    * comb(j2, k2) % p)
