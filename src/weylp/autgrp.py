@@ -356,54 +356,48 @@ def _phi_rescaled(payload: UniPoly, mu: FieldElement, extra: int) -> UniPoly:
                     for e, c in payload.coeffs.items()}, payload.var)
 
 
+# the generator relations as rewrites of an adjacent pair (a, b), given the
+# field's one: merge like generators, collapse s^2 into t_{-1}, and move t
+# and gamma to the left (adjusting phi payloads and flipping t across s)
+_REWRITES = {
+    (GenT, GenT): lambda a, b, one: [GenT(a.mu * b.mu)],
+    (GenGamma, GenGamma): lambda a, b, one: [GenGamma(a.mu * b.mu)],
+    (GenPhi, GenPhi): lambda a, b, one: [GenPhi(a.payload + b.payload)],
+    (GenS, GenS): lambda a, b, one: [GenT(-one)],
+    (GenS, GenT): lambda a, b, one: [GenT(b.mu.inv()), GenS()],
+    (GenPhi, GenT): lambda a, b, one: [
+        b, GenPhi(_phi_rescaled(a.payload, b.mu, 1))],
+    (GenS, GenGamma): lambda a, b, one: [b, GenT(b.mu.inv()), GenS()],
+    (GenPhi, GenGamma): lambda a, b, one: [
+        b, GenPhi(_phi_rescaled(a.payload, b.mu, 0))],
+    (GenT, GenGamma): lambda a, b, one: [b, a],
+}
+
+
 def normalize_word(word: AutWord) -> AutWord:
-    """Rewrite into the canonical shape [gamma] [t] phi s phi s ... using the
-    generator relations: merge adjacent like generators, collapse s^2 into
-    t_{-1}, and push every t and gamma to the far left (adjusting phi
-    payloads and flipping t across s)."""
+    """Rewrite into the canonical shape [gamma] [t] phi s phi s ... by
+    _REWRITES, in one left-to-right pass: an identity is dropped; a
+    generator that rewrites with the last one kept takes that one back and
+    puts the replacement in front of the input still to read."""
     field = word.field
     one = field.one()
-    gens = list(word.gens)
-    changed = True
-    guard = 0
-    while changed:
-        guard += 1
-        if guard > 10000:
-            raise AssertionError("word normalization did not terminate")
-        changed = False
-        for i, gen in enumerate(gens):
-            if (isinstance(gen, (GenT, GenGamma)) and gen.mu == one) or (
-                    isinstance(gen, GenPhi) and gen.payload.is_zero()):
-                del gens[i]
-                changed = True
-                break
-        if changed:
+    todo = list(reversed(word.gens))
+    out = []
+    rewrites = 0
+    while todo:
+        b = todo.pop()
+        if (isinstance(b, (GenT, GenGamma)) and b.mu == one) or (
+                isinstance(b, GenPhi) and b.payload.is_zero()):
             continue
-        for i in range(len(gens) - 1):
-            a, b = gens[i], gens[i + 1]
-            if isinstance(a, GenT) and isinstance(b, GenT):
-                gens[i:i + 2] = [GenT(a.mu * b.mu)]
-            elif isinstance(a, GenGamma) and isinstance(b, GenGamma):
-                gens[i:i + 2] = [GenGamma(a.mu * b.mu)]
-            elif isinstance(a, GenPhi) and isinstance(b, GenPhi):
-                gens[i:i + 2] = [GenPhi(a.payload + b.payload)]
-            elif isinstance(a, GenS) and isinstance(b, GenS):
-                gens[i:i + 2] = [GenT(-one)]
-            elif isinstance(a, GenS) and isinstance(b, GenT):
-                gens[i:i + 2] = [GenT(b.mu.inv()), GenS()]
-            elif isinstance(a, GenPhi) and isinstance(b, GenT):
-                gens[i:i + 2] = [b, GenPhi(_phi_rescaled(a.payload, b.mu, 1))]
-            elif isinstance(a, GenS) and isinstance(b, GenGamma):
-                gens[i:i + 2] = [b, GenT(b.mu.inv()), GenS()]
-            elif isinstance(a, GenPhi) and isinstance(b, GenGamma):
-                gens[i:i + 2] = [b, GenPhi(_phi_rescaled(a.payload, b.mu, 0))]
-            elif isinstance(a, GenT) and isinstance(b, GenGamma):
-                gens[i:i + 2] = [b, a]
-            else:
-                continue
-            changed = True
-            break
-    return AutWord(field, word.target, gens)
+        rule = _REWRITES.get((type(out[-1]) if out else None, type(b)))
+        if rule is None:
+            out.append(b)
+            continue
+        rewrites += 1
+        if rewrites > 10000:
+            raise AssertionError("word normalization did not terminate")
+        todo.extend(reversed(rule(out.pop(), b, one)))
+    return AutWord(field, word.target, out)
 
 
 # ----------------------------------------------------------------------

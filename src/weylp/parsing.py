@@ -12,6 +12,12 @@ is reported with the offending name.  Whitespace is insignificant.  A leading
 minus is accepted for convenience although canonical printing never emits one
 (coefficients print as residues).
 
+An expression is evaluated in one loop over a value stack and an operator
+stack (Dijkstra's shunting-yard method), so nesting costs no recursion.  A
+product or power of degree above MAX_DEGREE, and an integer literal longer
+than MAX_LITERAL_DIGITS digits, raise ParseError before anything is
+computed.  Error positions index the whole argument, payloads included.
+
 Word literals are generator names in sequence: ``s``, ``t[<field element>]``,
 ``gamma[<field element>]``, ``phi[<poly>]``.  Image pairs are
 ``(<expr> ; <expr>)``.
@@ -23,9 +29,16 @@ import re
 
 from .autgrp import (A1, AutImages, AutWord, GenGamma, GenPhi, GenS, GenT,
                      realize)
-from .gfq import FieldSpec, UsageError
+from .gfq import FieldElement, FieldSpec, UsageError
 from .poly import BiPoly, PolyRing, UniPoly
 from .weyl import WeylElement
+
+# largest degree of a product or power an expression may compute: the total
+# degree, a K[t] coefficient adding its t-degree.  The largest the benchmark
+# parses is 2 p^2 = 338, a theta image at p = 13.
+MAX_DEGREE = 512
+# Python's default limit on converting a digit string to an int
+MAX_LITERAL_DIGITS = 4300
 
 
 class ParseError(UsageError):
@@ -34,180 +47,172 @@ class ParseError(UsageError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|(.))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|(\S))")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, offset: int = 0):
+    """(kind, value, position) triples closed by an "end" token; positions
+    are shifted by ``offset``, where ``text`` starts in the argument."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            break
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            ch = m.group(3)
-            if ch in "+-*^();[],=":
-                tokens.append(("op", ch, m.start(3)))
-            else:
-                raise ParseError("unexpected character %r" % ch, m.start(3))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
+    for m in _TOKEN.finditer(text):
+        kind = ("int", "name", "op")[m.lastindex - 1]
+        val, pos = m.group(m.lastindex), m.start(m.lastindex) + offset
+        if kind == "int":
+            if len(val) > MAX_LITERAL_DIGITS:
+                raise ParseError("integer literal longer than %d digits"
+                                 % MAX_LITERAL_DIGITS, pos)
+            val = int(val)
+        elif kind == "op" and val not in "+-*^();[],=":
+            raise ParseError("unexpected character %r" % val, pos)
+        tokens.append((kind, val, pos))
+    tokens.append(("end", None, len(text) + offset))
     return tokens
 
 
-class _Expr:
-    """Recursive-descent evaluator over a fixed atom table."""
+def _degree(value) -> int:
+    """The degree MAX_DEGREE bounds; 0 for a field element and for 0."""
+    terms = {} if isinstance(value, FieldElement) else value.coeffs
+    return max(((sum(k) if isinstance(k, tuple) else k)
+                + (c.degree if isinstance(c, UniPoly) else 0)
+                for k, c in terms.items()), default=0)
 
-    def __init__(self, tokens, atoms, make_int, where: str):
-        self.tokens = tokens
-        self.i = 0
-        self.atoms = atoms
-        self.make_int = make_int
-        self.where = where
 
-    def peek(self):
-        return self.tokens[self.i]
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError("degree %d exceeds the budget of %d"
+                         % (degree, MAX_DEGREE), pos)
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect_op(self, ch):
-        kind, val, pos = self.take()
-        if kind != "op" or val != ch:
-            raise ParseError("expected %r" % ch, pos)
+# binary operators and the leading minus ("neg"); a "(" on the operator
+# stack has none, so no reduction passes it
+_PRECEDENCE = {"+": 1, "-": 1, "neg": 2, "*": 3}
 
-    def expr(self):
-        kind, val, pos = self.peek()
-        negate = False
-        if kind == "op" and val == "-":
-            self.take()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                acc = acc + rhs if val == "+" else acc - rhs
+
+def _evaluate(text: str, atoms: dict, one, where: str, offset: int = 0):
+    """Value of the expression ``text`` (see the module grammar), built from
+    ``atoms`` by name and the integer literal k as ``k * one``.  Operators
+    wait on a stack until one that binds no tighter arrives, so evaluation
+    runs in the order of a recursive-descent parser: left to right, each
+    product as soon as its right factor (with its exponent) is complete."""
+    tokens = _tokenize(text, offset)
+    values, ops = [], []            # ops holds (operator, position)
+
+    def reduce(precedence):
+        while ops and _PRECEDENCE.get(ops[-1][0], 0) >= precedence:
+            op, pos = ops.pop()
+            rhs = values.pop()
+            if op == "neg":
+                values.append(-rhs)
+                continue
+            lhs = values.pop()
+            if op == "*":
+                _check_degree(_degree(lhs) + _degree(rhs), pos)
+                values.append(lhs * rhs)
             else:
-                return acc
+                values.append(lhs + rhs if op == "+" else lhs - rhs)
 
-    def term(self):
-        acc = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                acc = acc * self.factor()
-            else:
-                return acc
-
-    def factor(self):
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, val, pos = self.take()
-            if kind != "int":
-                raise ParseError("exponent must be a non-negative integer",
-                                 pos)
-            base = base ** val
-        return base
-
-    def atom(self):
-        kind, val, pos = self.take()
+    i = 0
+    while True:
+        kind, val, pos = tokens[i]
+        i += 1
+        # a '-' may open an expr: at the start of the input, where the
+        # operator stack is empty, and right after a '('
+        at_start = not ops or ops[-1][0] == "("
+        if kind == "op" and (val == "(" or val == "-" and at_start):
+            ops.append(("(" if val == "(" else "neg", pos))
+            continue
         if kind == "int":
-            return self.make_int(val)
-        if kind == "name":
-            try:
-                return self.atoms[val]
-            except KeyError:
-                raise ParseError(
-                    "symbol %r is not valid in %s (allowed: %s)"
-                    % (val, self.where, ", ".join(sorted(self.atoms))), pos)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected a value", pos)
+            value = val * one
+        elif kind == "name" and val in atoms:
+            value = atoms[val]
+        elif kind == "name":
+            raise ParseError("symbol %r is not valid in %s (allowed: %s)"
+                             % (val, where, ", ".join(sorted(atoms))), pos)
+        else:
+            raise ParseError("expected a value", pos)
+        # a value is complete: take its exponent, then close groups (each
+        # closed group is again a value) until a binary operator follows
+        while True:
+            kind, val, pos = tokens[i]
+            i += 1
+            if kind == "op" and val == "^":
+                kind, e, epos = tokens[i]
+                if kind != "int":
+                    raise ParseError("exponent must be a non-negative integer",
+                                     epos)
+                _check_degree(_degree(value) * e, epos)
+                value = value ** e
+                kind, val, pos = tokens[i + 1]
+                i += 2
+            values.append(value)
+            if kind == "op" and val in "+-*":
+                reduce(_PRECEDENCE[val])
+                ops.append((val, pos))
+                break
+            reduce(1)               # the group or the whole input ends here
+            if ops and kind == "op" and val == ")":
+                ops.pop()
+                value = values.pop()
+            elif ops:
+                raise ParseError("expected ')'", pos)
+            elif kind != "end":
+                raise ParseError("unexpected trailing input", pos)
+            else:
+                return values.pop()
 
 
-def _run_expr(text: str, atoms, make_int, where: str):
-    parser = _Expr(_tokenize(text), atoms, make_int, where)
-    value = parser.expr()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise ParseError("unexpected trailing input", pos)
-    return value
+def _grammar(atoms: dict, one, field: FieldSpec, where: str):
+    """(atoms, one, where) for _evaluate; the field generator g is an atom
+    too where the field has one (n > 1)."""
+    if field.n > 1:
+        atoms["g"] = one * field.gen()
+    return atoms, one, where
 
 
-def _field_atoms(spec: FieldSpec, lift):
-    atoms = {}
-    if spec.n > 1:
-        atoms["g"] = lift(spec.gen())
-    return atoms
+def _field_grammar(spec: FieldSpec):
+    return _grammar({}, spec.one(), spec, "a field element")
+
+
+def _unipoly_grammar(ring, var: str):
+    atoms = {var: UniPoly.variable(ring, var)}
+    field = ring
+    if isinstance(ring, PolyRing):
+        atoms[ring.var] = UniPoly.constant(ring, ring.gen(), var)
+        field = ring.base
+    return _grammar(atoms, UniPoly.one(ring, var), field,
+                    "a polynomial in %s" % var)
+
+
+def _bipoly_grammar(spec: FieldSpec, vars):
+    gx, gy = BiPoly.gens(spec, vars)
+    return _grammar({vars[0]: gx, vars[1]: gy}, BiPoly.one(spec, vars), spec,
+                    "a polynomial in %s, %s" % vars)
+
+
+def _weyl_grammar(spec: FieldSpec, n: int):
+    names = ("x", "d") if n == 1 else ("x1", "x2", "d1", "d2")
+    gens = ([WeylElement.x_gen(spec, a, n) for a in range(n)]
+            + [WeylElement.d_gen(spec, a, n) for a in range(n)])
+    return _grammar(dict(zip(names, gens)), WeylElement.one(spec, n), spec,
+                    "an A_%d expression" % n)
 
 
 def parse_field_element(text: str, spec: FieldSpec):
-    return _run_expr(text, _field_atoms(spec, lambda c: c), spec.from_int,
-                     "a field element")
+    return _evaluate(text, *_field_grammar(spec))
 
 
 def parse_unipoly(text: str, ring, var: str = "x") -> UniPoly:
     """Polynomial in ``var``; over a PolyRing the ring variable is an atom
     too."""
-    atoms = {var: UniPoly.variable(ring, var)}
-    if isinstance(ring, PolyRing):
-        atoms[ring.var] = UniPoly.constant(ring, ring.gen(), var)
-        base = ring.base
-        if base.n > 1:
-            atoms["g"] = UniPoly.constant(ring, ring.coerce(base.gen()), var)
-    elif ring.n > 1:
-        atoms["g"] = UniPoly.constant(ring, ring.gen(), var)
-
-    def make_int(k):
-        return UniPoly.constant(ring, ring.from_int(k), var)
-
-    return _run_expr(text, atoms, make_int,
-                     "a polynomial in %s" % var)
+    return _evaluate(text, *_unipoly_grammar(ring, var))
 
 
 def parse_bipoly(text: str, spec: FieldSpec, vars=("X", "Y")) -> BiPoly:
-    gx, gy = BiPoly.gens(spec, vars)
-    atoms = {vars[0]: gx, vars[1]: gy}
-    atoms.update(_field_atoms(spec, lambda c: BiPoly.constant(spec, c, vars)))
-
-    def make_int(k):
-        return BiPoly.constant(spec, spec.from_int(k), vars)
-
-    return _run_expr(text, atoms, make_int,
-                     "a polynomial in %s, %s" % vars)
+    return _evaluate(text, *_bipoly_grammar(spec, vars))
 
 
 def parse_weyl(text: str, spec: FieldSpec, n: int = 1) -> WeylElement:
-    if n == 1:
-        atoms = {"x": WeylElement.x_gen(spec),
-                 "d": WeylElement.d_gen(spec)}
-    else:
-        atoms = {"x1": WeylElement.x_gen(spec, 0, 2),
-                 "x2": WeylElement.x_gen(spec, 1, 2),
-                 "d1": WeylElement.d_gen(spec, 0, 2),
-                 "d2": WeylElement.d_gen(spec, 1, 2)}
-    atoms.update(_field_atoms(
-        spec, lambda c: WeylElement.constant(spec, c, n)))
-
-    def make_int(k):
-        return WeylElement.constant(spec, spec.from_int(k), n)
-
-    return _run_expr(text, atoms, make_int, "an A_%d expression" % n)
+    return _evaluate(text, *_weyl_grammar(spec, n))
 
 
 def parse_field_spec(text: str) -> FieldSpec:
@@ -228,25 +233,23 @@ def parse_field_spec(text: str) -> FieldSpec:
         raise UsageError("unknown field spec keys: %s" % sorted(unknown))
     if "p" not in seen:
         raise UsageError("field spec needs p=<prime>")
-    try:
-        p = int(seen["p"])
-    except ValueError:
-        raise UsageError("p must be an integer, got %r" % seen["p"])
-    n = 1
-    if "n" in seen:
-        try:
-            n = int(seen["n"])
-        except ValueError:
-            raise UsageError("n must be an integer, got %r" % seen["n"])
+    p, n = _spec_int(seen, "p"), _spec_int(seen, "n")
     modulus = None
     if "mod" in seen:
-        prime = FieldSpec(p)
-        poly = parse_unipoly(seen["mod"], prime, var="g")
-        deg = poly.degree
-        if deg == float("-inf"):
+        poly = parse_unipoly(seen["mod"], FieldSpec(p), var="g")
+        if poly.is_zero():
             raise UsageError("modulus must be nonzero")
-        modulus = tuple(poly.coefficient(e).val for e in range(int(deg) + 1))
+        modulus = tuple(poly.coefficient(e).val
+                        for e in range(poly.degree + 1))
     return FieldSpec(p, n, modulus)
+
+
+def _spec_int(seen: dict, key: str) -> int:
+    """The integer value of a field spec key; n defaults to 1."""
+    try:
+        return int(seen.get(key, 1))
+    except ValueError:
+        raise UsageError("%s must be an integer, got %r" % (key, seen[key]))
 
 
 _WORD_GEN = re.compile(r"\s*([A-Za-z]+)")
@@ -270,19 +273,17 @@ def parse_word(text: str, spec: FieldSpec, target: str) -> AutWord:
             continue
         if name not in ("t", "gamma", "phi"):
             raise ParseError("unknown generator %r" % name, m.start(1))
-        if pos >= len(text) or text[pos] != "[":
+        if not text.startswith("[", pos):
             raise ParseError("generator %r needs a [payload]" % name, pos)
         close = text.find("]", pos)
         if close < 0:
             raise ParseError("unclosed payload bracket", pos)
-        payload = text[pos + 1:close]
+        grammar = (_unipoly_grammar(spec, var) if name == "phi"
+                   else _field_grammar(spec))
+        payload = _evaluate(text[pos + 1:close], *grammar, pos + 1)
+        gens.append({"t": GenT, "gamma": GenGamma, "phi": GenPhi}[name](
+            payload))
         pos = close + 1
-        if name == "t":
-            gens.append(GenT(parse_field_element(payload, spec)))
-        elif name == "gamma":
-            gens.append(GenGamma(parse_field_element(payload, spec)))
-        else:
-            gens.append(GenPhi(parse_unipoly(payload, spec, var)))
     return AutWord(spec, target, gens)
 
 
@@ -296,12 +297,12 @@ def parse_images(text: str, spec: FieldSpec, target: str,
     if body.count(";") != 1:
         raise ParseError("image pair needs exactly one ';'", 0)
     left, right = body.split(";")
-    if target == A1:
-        img_x = parse_weyl(left, spec, 1)
-        img_y = parse_weyl(right, spec, 1)
-    else:
-        img_x = parse_bipoly(left, spec)
-        img_y = parse_bipoly(right, spec)
+    # where each half starts in text: after the leading blanks and the "("
+    start = len(text) - len(text.lstrip()) + 1
+    grammar = (_weyl_grammar(spec, 1) if target == A1
+               else _bipoly_grammar(spec, ("X", "Y")))
+    img_x = _evaluate(left, *grammar, start)
+    img_y = _evaluate(right, *grammar, start + len(left) + 1)
     return AutImages(spec, target, img_x, img_y, validate=validate)
 
 

@@ -140,6 +140,10 @@ class WeylElement(_Sparse):
             return WeylElement.one(self.ring, self.n)
         if not self.coeffs:
             return self._from_nonzero({})
+        key, c = next(iter(self.coeffs.items()))
+        if len(self.coeffs) == 1 and not any(key):
+            # a constant: its coefficient's power, by square and multiply
+            return self._from_nonzero({key: c ** k})
         if not self.ring.is_field:
             result = self
             for _ in range(k - 1):

@@ -173,3 +173,76 @@ class TestPrintParseRoundTrip:
                 img = realize(random_word(rng, spec, A1, max_len=4,
                                           max_payload_deg=2))
                 assert parse_images(str(img), spec, A1) == img
+
+
+# malformed inputs with the exact message each raised under the recursive
+# evaluator this module's loop replaced: (parser, text, field, message)
+PARSE_ERRORS = [
+    ("unipoly", "", F3, "expected a value (at position 0)"),
+    ("unipoly", "x++1", F2, "expected a value (at position 2)"),
+    ("unipoly", "x^x", F2,
+     "exponent must be a non-negative integer (at position 2)"),
+    ("unipoly", "(x", F2, "expected ')' (at position 2)"),
+    ("unipoly", "x 1", F2, "unexpected trailing input (at position 2)"),
+    ("unipoly", "x)", F3, "unexpected trailing input (at position 1)"),
+    ("unipoly", "--x", F3, "expected a value (at position 1)"),
+    ("unipoly", "x*-1", F3, "expected a value (at position 2)"),
+    ("unipoly", "x^-1", F3,
+     "exponent must be a non-negative integer (at position 2)"),
+    ("unipoly", "x^2^3", F3, "unexpected trailing input (at position 3)"),
+    ("unipoly", "(x^2^3)", F3, "expected ')' (at position 4)"),
+    ("unipoly", "()", F3, "expected a value (at position 1)"),
+    ("unipoly", "x^", F3,
+     "exponent must be a non-negative integer (at position 2)"),
+    ("unipoly", "g*x", F3,
+     "symbol 'g' is not valid in a polynomial in x (allowed: x) "
+     "(at position 0)"),
+    ("unipoly", "x + y", F5,
+     "symbol 'y' is not valid in a polynomial in x (allowed: x) "
+     "(at position 4)"),
+    ("unipoly", "((x+1)*(x+2)", F5, "expected ')' (at position 12)"),
+    ("unipoly", "x $ 1", F3, "unexpected character '$' (at position 2)"),
+    ("unipoly", "2 (x)", F3, "unexpected trailing input (at position 2)"),
+    ("unipoly", "x*", F4, "expected a value (at position 2)"),
+    ("unipoly", "(x)(x)", F4, "unexpected trailing input (at position 3)"),
+    ("unipoly", "x;1", F3, "unexpected trailing input (at position 1)"),
+    ("bipoly", "d*X", F2,
+     "symbol 'd' is not valid in a polynomial in X, Y (allowed: X, Y) "
+     "(at position 0)"),
+    ("bipoly", "X+Y)", F3, "unexpected trailing input (at position 3)"),
+    ("bipoly", "X^(2)", F3,
+     "exponent must be a non-negative integer (at position 2)"),
+    ("bipoly", "(X;Y)", F3, "expected ')' (at position 2)"),
+    ("bipoly", "X*Y*", F4, "expected a value (at position 4)"),
+    ("bipoly", "- -Y", F3, "expected a value (at position 2)"),
+    ("weyl", "x*d+D", F3,
+     "symbol 'D' is not valid in an A_1 expression (allowed: d, x) "
+     "(at position 4)"),
+    ("weyl", "x1*d", F3,
+     "symbol 'x1' is not valid in an A_1 expression (allowed: d, x) "
+     "(at position 0)"),
+    ("weyl", "(x+d", F5, "expected ')' (at position 4)"),
+    ("weyl", "x d", F3, "unexpected trailing input (at position 2)"),
+    ("weyl", "x^1.5", F3, "unexpected character '.' (at position 3)"),
+    ("weyl", "[x]", F3, "expected a value (at position 0)"),
+    ("field", "g", F3,
+     "symbol 'g' is not valid in a field element (allowed: ) (at position 0)"),
+    ("field", "1+", F4, "expected a value (at position 2)"),
+    ("field", "x", F4,
+     "symbol 'x' is not valid in a field element (allowed: g) "
+     "(at position 0)"),
+    ("field", "g^g", F4,
+     "exponent must be a non-negative integer (at position 2)"),
+    ("field", "(1+g))", F4, "unexpected trailing input (at position 5)"),
+    ("field", "", F5, "expected a value (at position 0)"),
+]
+_PARSERS = {"unipoly": parse_unipoly, "bipoly": parse_bipoly,
+            "weyl": parse_weyl, "field": parse_field_element}
+
+
+@pytest.mark.parametrize("kind, text, spec, message", PARSE_ERRORS)
+def test_parse_error_messages(kind, text, spec, message):
+    with pytest.raises(ParseError) as info:
+        _PARSERS[kind](text, spec)
+    assert str(info.value) == message
+

@@ -68,3 +68,32 @@ def test_no_unused_imports(path):
               for name, line in _imported(tree) if name not in used]
     assert not unused, "%s imports names it never uses: %s" % (
         path.name, ", ".join(unused))
+
+
+def test_parsing_does_not_recurse():
+    """No function of parsing.py reaches itself through the calls it makes
+    (by name, or as a method of ``self``), so nesting depth is not bounded
+    by the interpreter's stack."""
+    tree = ast.parse((SOURCE / "parsing.py").read_text())
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    names = {fn.name for fn in functions}
+    calls = {fn.name: set() for fn in functions}
+    for fn in functions:
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in names:
+                calls[fn.name].add(func.id)
+            elif (isinstance(func, ast.Attribute) and func.attr in names
+                  and getattr(func.value, "id", None) == "self"):
+                calls[fn.name].add(func.attr)
+    for start in calls:
+        seen, todo = set(), list(calls[start])
+        while todo:
+            name = todo.pop()
+            assert name != start, "%s reaches itself" % start
+            if name not in seen:
+                seen.add(name)
+                todo.extend(calls[name])
