@@ -14,9 +14,10 @@ minus is accepted for convenience although canonical printing never emits one
 
 An expression is evaluated in one loop over a value stack and an operator
 stack (Dijkstra's shunting-yard method), so nesting costs no recursion.  A
-product or power of degree above MAX_DEGREE, and an integer literal longer
-than MAX_LITERAL_DIGITS digits, raise ParseError before anything is
-computed.  Error positions index the whole argument, payloads included.
+product or power of degree above MAX_DEGREE, a product of more than
+MAX_PAIRS term pairs, and an integer literal longer than MAX_LITERAL_DIGITS
+digits raise ParseError before anything is computed.  Error positions index
+the whole argument, payloads and field moduli included.
 
 Word literals are generator names in sequence: ``s``, ``t[<field element>]``,
 ``gamma[<field element>]``, ``phi[<poly>]``.  Image pairs are
@@ -37,6 +38,12 @@ from .weyl import WeylElement
 # degree, a K[t] coefficient adding its t-degree.  The largest the benchmark
 # parses is 2 p^2 = 338, a theta image at p = 13.
 MAX_DEGREE = 512
+# largest number of term pairs a product may multiply: the product of its
+# operands' term counts, a K[t] coefficient counting its terms in t.  The
+# benchmark's products have at most 1 pair and the tests' at most 36; the
+# slowest admitted product found, two 128-term A_2 operands over F_{13^4}
+# of degree at least 12 in each variable, takes about 1.3 s.
+MAX_PAIRS = 128 * 128
 # Python's default limit on converting a digit string to an int
 MAX_LITERAL_DIGITS = 4300
 
@@ -83,6 +90,16 @@ def _check_degree(degree: int, pos: int) -> None:
                          % (degree, MAX_DEGREE), pos)
 
 
+def _terms(value) -> int:
+    """The term count MAX_PAIRS bounds: 1 for a field element, the number
+    of terms in t for a polynomial over K[t]."""
+    if isinstance(value, FieldElement):
+        return 1
+    if isinstance(value.ring, PolyRing):
+        return sum(len(c.coeffs) for c in value.coeffs.values())
+    return len(value.coeffs)
+
+
 # binary operators and the leading minus ("neg"); a "(" on the operator
 # stack has none, so no reduction passes it
 _PRECEDENCE = {"+": 1, "-": 1, "neg": 2, "*": 3}
@@ -107,6 +124,11 @@ def _evaluate(text: str, atoms: dict, one, where: str, offset: int = 0):
             lhs = values.pop()
             if op == "*":
                 _check_degree(_degree(lhs) + _degree(rhs), pos)
+                a, b = _terms(lhs), _terms(rhs)
+                if a * b > MAX_PAIRS:
+                    raise ParseError(
+                        "product of %d and %d terms exceeds the budget of %d"
+                        " term pairs" % (a, b, MAX_PAIRS), pos)
                 values.append(lhs * rhs)
             else:
                 values.append(lhs + rhs if op == "+" else lhs - rhs)
@@ -216,18 +238,25 @@ def parse_weyl(text: str, spec: FieldSpec, n: int = 1) -> WeylElement:
 
 
 def parse_field_spec(text: str) -> FieldSpec:
-    """Grammar: p=<int>[,n=<int>,mod=<poly in g>], default n=1."""
-    parts = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
-    seen = {}
-    for chunk in parts:
+    """Grammar: p=<int>[,n=<int>,mod=<poly in g>], default n=1.  Error
+    positions in the modulus index ``text``."""
+    seen, starts = {}, {}
+    end = -1
+    for raw in text.split(","):
+        end += 1 + len(raw)
+        chunk = raw.strip()
+        if not chunk:
+            continue
         if "=" not in chunk:
             raise UsageError(
                 "bad field spec component %r (want key=value)" % chunk)
-        key, _, value = chunk.partition("=")
+        key, _, value = raw.partition("=")
         key = key.strip()
         if key in seen:
             raise UsageError("duplicate field spec key %r" % key)
         seen[key] = value.strip()
+        # where the value starts: after the "=" and any blanks
+        starts[key] = end - len(value.lstrip())
     unknown = set(seen) - {"p", "n", "mod"}
     if unknown:
         raise UsageError("unknown field spec keys: %s" % sorted(unknown))
@@ -236,7 +265,8 @@ def parse_field_spec(text: str) -> FieldSpec:
     p, n = _spec_int(seen, "p"), _spec_int(seen, "n")
     modulus = None
     if "mod" in seen:
-        poly = parse_unipoly(seen["mod"], FieldSpec(p), var="g")
+        poly = _evaluate(seen["mod"], *_unipoly_grammar(FieldSpec(p), "g"),
+                         starts["mod"])
         if poly.is_zero():
             raise UsageError("modulus must be nonzero")
         modulus = tuple(poly.coefficient(e).val

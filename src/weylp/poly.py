@@ -145,7 +145,8 @@ class _Sparse:
 
     def _from_nonzero(self, coeffs: dict):
         """Like _like, for ``coeffs`` that hold no zero coefficient (the
-        results of products, whose codecs drop zeros): no filtering pass."""
+        results of products, whose codecs drop zeros, of negation and of
+        scaling by a nonzero constant): no filtering pass."""
         out = object.__new__(type(self))
         out.ring = self.ring
         out.coeffs = coeffs
@@ -169,7 +170,7 @@ class _Sparse:
         return type(other) is type(self)
 
     def _check_compatible(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("coefficient ring mismatch")
         if self._shape() != other._shape():
             raise ValueError(self._MISMATCH % (self._shape(), other._shape()))
@@ -189,8 +190,10 @@ class _Sparse:
             out[k] = c if cur is None else cur + c
         return self._like(out)
 
+    # a field and K[t] have no zero divisors: negating, or scaling by a
+    # nonzero c, keeps every coefficient nonzero
     def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()})
+        return self._from_nonzero({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not self._same_kind(other):
@@ -209,8 +212,8 @@ class _Sparse:
     def scale(self, c):
         c = self.ring.coerce(c)
         if c.is_zero():
-            return self._like({})
-        return self._like({k: v * c for k, v in self.coeffs.items()})
+            return self._from_nonzero({})
+        return self._from_nonzero({k: v * c for k, v in self.coeffs.items()})
 
     def __pow__(self, k: int):
         """Square-and-multiply: k.bit_length() - 1 squarings and one product

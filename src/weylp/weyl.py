@@ -16,7 +16,11 @@ of the ring's codec; each k takes divided derivatives on the packed keys,
 with binom(m, k) mod p = binom(m mod p, k) from a p x p table kept per p
 (k < p), scales the codes by k! and hands the pair to the shared product
 kernel poly._mul_into.  Every k accumulates into one map of unreduced codes,
-which the codec reduces once and which is unpacked at the end.
+which the codec reduces once and which is unpacked at the end.  A
+commutator [a, b] is one such pass: the order-0 terms of a*b and b*a are
+the same commutative product and cancel, so it runs the orders k != 0 of
+a*b, then those of b*a with k! times p - 1 (codes stay non-negative), into
+one accumulator.
 
 Powers over a field, the brute-force p-th powers behind res and the
 identity checks, are a chain acc <- acc * a on rows instead (the operator-
@@ -26,13 +30,16 @@ keyed by its d-exponents and holds its x-polynomial as one int, one x-slot
 per x-exponent (Kronecker in x1 and x2 for A_2), each x-slot holding the
 2n - 1 coefficients in g of an unreduced product of F_{p^n} codes at a
 sub-slot width proven wide enough for the chain.  The divided x-derivatives
-of a are packed once; each step costs one bigint product per pair of rows
-and one whole-row fold and mod-p reduction per output row (a Barrett step
-on every sub-slot at once), and the rows are decoded once at the end.  Over
-K[t] a power is plain repeated products.  Everything else (addition,
+of a are packed once, in A_2 split into x2-bands (one short row of x1-slots
+per d-exponent and x2-exponent, so that the row of an affine form
+a*x1 + b*x2 + c is two short ints, not one mostly empty one); each step
+costs one bigint product per pair of rows, one shift per output row and
+band, and one whole-row fold and mod-p reduction per output row (a Barrett
+step on every sub-slot at once), and the rows are decoded once at the end.
+Over K[t] a power is plain repeated products.  Everything else (addition,
 scaling, equality, printing, substitution) is the shared sparse base of
 poly.py.  A term-by-term rewriting multiplier lives in the test suite as an
-independent oracle for both routines.
+independent oracle for all three routines.
 
 The module also hosts the brute-force checks of the p-th power identity
 (d + f)^p = d^p + f^{(p-1)} + f^p, in A_1 over fields and over K[t], and its
@@ -45,8 +52,7 @@ from functools import lru_cache
 from itertools import product as _iterproduct
 from math import comb
 
-from .poly import (BiPoly, UniPoly, _mul_into, _pack, _Sparse, _unpack,
-                   _width)
+from .poly import BiPoly, UniPoly, _mul_into, _pack, _Sparse, _unpack
 
 
 class WeylElement(_Sparse):
@@ -121,13 +127,12 @@ class WeylElement(_Sparse):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self._from_nonzero({})
-        codec = self.ring.codec
-        w = _width(a, b)
-        acc = _weyl_mul(codec, self.ring.characteristic, self.n,
-                        codec.encode(_pack(a, w)), codec.encode(_pack(b, w)),
-                        w)
-        return self._from_nonzero(
-            _unpack(codec.decode(acc), w, 2 * self.n))
+        codec, p, n = self.ring.codec, self.ring.characteristic, self.n
+        w, a, b, ta, tb = _coded_operands(codec, a, b)
+        ks = _weyl_orders(p, n, ta, tb)
+        codec.check_pairs(len(ks) * min(len(a), len(b)), (p - 1) ** 2)
+        acc = _weyl_mul(codec, p, n, a, b, w, ks)
+        return self._from_nonzero(_unpack(codec.decode(acc), w, 2 * n))
 
     def __pow__(self, k: int) -> "WeylElement":
         # repeated multiplication, not the base's square-and-multiply: a
@@ -153,7 +158,24 @@ class WeylElement(_Sparse):
             _row_power(self.ring, self.n, self.coeffs, k))
 
     def commutator(self, other: "WeylElement") -> "WeylElement":
-        return self * other - other * self
+        """[self, other] = self * other - other * self in one coded pass.
+        The order-0 terms of the two products are the same commutative
+        product and cancel, so only the orders k != 0 of each product run,
+        those of other * self with k! times p - 1 (that is, negated) so that
+        codes stay non-negative, into one accumulator."""
+        self._check_compatible(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return self._from_nonzero({})
+        codec, p, n = self.ring.codec, self.ring.characteristic, self.n
+        w, a, b, ta, tb = _coded_operands(codec, a, b)
+        ab = _weyl_orders(p, n, ta, tb)[1:]
+        ba = _weyl_orders(p, n, tb, ta)[1:]
+        codec.check_pairs((len(ab) + len(ba)) * min(len(a), len(b)),
+                          (p - 1) ** 2)
+        acc = _weyl_mul(codec, p, n, a, b, w, ab)
+        acc = _weyl_mul(codec, p, n, b, a, w, ba, acc, p - 1)
+        return self._from_nonzero(_unpack(codec.decode(acc), w, 2 * n))
 
     # -- centre ---------------------------------------------------------
 
@@ -202,27 +224,42 @@ def _lucas_tables(p: int) -> tuple:
     return binom, fact
 
 
-def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int) -> dict:
-    """Unreduced codes of the product of A_n elements given by packed keys
-    (slot width w) and reduced codes of ``codec``, over characteristic p:
-    sum over k of k! (d/d_xi)^[k]a * (d/dx)^[k]b."""
-    mask = (1 << w) - 1
-    # per-axis orders: a only differentiates in d's, b in x's
-    ranges = [range(min(p, 1 + max([key >> (n + s) * w & mask for key in a]),
-                        1 + max([key >> s * w & mask for key in b])))
-              for s in range(n)]
-    ks = list(_iterproduct(*ranges))
-    # k! and the binomials are each reduced below p
-    codec.check_pairs(len(ks) * min(len(a), len(b)), (p - 1) ** 2)
+def _coded_operands(codec, a: dict, b: dict) -> tuple:
+    """(w, A, B, top_a, top_b) for a product of the nonzero A_n elements
+    with coefficients a and b: A and B are their keys packed at the slot
+    width w that no exponent sum overflows and their coefficients coded by
+    ``codec``; top_a and top_b hold the largest exponent in each key slot."""
+    ta, tb = list(map(max, zip(*a))), list(map(max, zip(*b)))
+    w = (max(ta) + max(tb)).bit_length()
+    return w, codec.encode(_pack(a, w)), codec.encode(_pack(b, w)), ta, tb
+
+
+def _weyl_orders(p: int, n: int, ta: list, tb: list) -> list:
+    """The orders k (one per axis, each below p) of the commutation rule
+    that can contribute to a * b, for A_n elements whose largest exponents
+    per key slot are ta and tb: a only differentiates in d's, b in x's.
+    The first is k = 0, the commutative product."""
+    return list(_iterproduct(*[range(min(p, 1 + ta[n + s], 1 + tb[s]))
+                               for s in range(n)]))
+
+
+def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int, ks: list,
+              acc: dict | None = None, sign: int = 1) -> dict:
+    """``acc`` plus the unreduced codes of sum over k in ``ks`` of
+    sign * k! (d/d_xi)^[k]a * (d/dx)^[k]b, for A_n elements given by packed
+    keys (slot width w) and reduced codes of ``codec``, over characteristic
+    p; ``sign`` (1 or p - 1) multiplies the scalars, which stay below p.
+    The caller guards the code stride (codec.check_pairs)."""
     binom, fact = _lucas_tables(p)
     zero = codec.zero
-    acc: dict = {}
+    if acc is None:
+        acc = {}
     for k in ks:
         B = _divided_derivative(
             b, [(s * w, e) for s, e in enumerate(k) if e], w, binom, p, 1)
         if not B:
             continue
-        scalar = 1
+        scalar = sign
         for e in k:
             scalar *= fact[e]
         A = _divided_derivative(
@@ -240,7 +277,7 @@ def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
     (bit offset of slot s, k_s < p) for the slots with k_s > 0, and
     binom(m, k_s) mod p is binom[m % p][k_s] (Lucas).  Terms whose factor
     vanishes mod p drop out; the others keep distinct keys."""
-    if not orders:
+    if not orders and scalar == 1:
         return coeffs
     mask = (1 << width) - 1
     out = {}
@@ -354,11 +391,14 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
     x-polynomial as one int (_RowLayout); x1^i1 x2^i2 sits in x-slot
     i1 + D1 * i2, with D1 - 1 the final power's degree in x1, so that no
     product wraps (in A_1, i2 = 0).  Per order k of the commutation rule,
-    the divided x-derivative of a is packed once per chain; a step
-    multiplies each acc row by k! binom(j, k) mod p (a scalar, as it depends
-    only on the row's d-exponents j), then by each row of that derivative,
-    one bigint product per row pair, and reduces each output row once.  The
-    rows are decoded to the field's elements at the end."""
+    the divided x-derivative of a is packed once per chain, in bands: a
+    row of it is keyed by its d-exponents and its x2-exponent (the band)
+    and holds only its x1-slots.  A step multiplies each acc row by
+    k! binom(j, k) mod p (a scalar, as it depends only on the row's
+    d-exponents j), then by each band row of that derivative, one bigint
+    product per row pair; it shifts the sum of each output d-key and band
+    up D1 x-slots per band and reduces each output row once.  The rows are
+    decoded to the field's elements at the end."""
     p = spec.p
     binom = _lucas_tables(p)[0]
     codes, value = spec.codec._codes, spec.codec.value
@@ -369,25 +409,24 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
     wd = (k * max(top[n:])).bit_length() or 1       # bits per d-exponent
     dmask = (1 << wd) - 1
     if n == 1:
-        terms = [(i, 0, i, j, c.val) for (i, j), c in coeffs.items()]
+        terms = [(i, 0, j, c.val) for (i, j), c in coeffs.items()]
         ranges = (range(min(p, top[0] + 1, k * top[1] + 1)), (0,))
     else:
-        terms = [(i1, i2, i1 + d1 * i2, j1 | j2 << wd, c.val)
+        terms = [(i1, i2, j1 | j2 << wd, c.val)
                  for (i1, i2, j1, j2), c in coeffs.items()]
         ranges = (range(min(p, top[0] + 1, k * top[2] + 1)),
                   range(min(p, top[1] + 1, k * top[3] + 1)))
-    # the divided x-derivatives of a, as (d-key, x-slot, element index)
-    # terms per order; binom(j, k) vanishes for j < k, so an order above a
-    # d-degree the chain reaches never contributes
+    # the divided x-derivatives of a, as (d-key, x1-slot, band, element
+    # index) terms per order; binom(j, k) vanishes for j < k, so an order
+    # above a d-degree the chain reaches never contributes
     orders = []
     for k2 in ranges[1]:
         for k1 in ranges[0]:
-            shift = k1 + d1 * k2
             part = []
-            for i1, i2, x, j, v in terms:
+            for i1, i2, j, v in terms:
                 f = binom[i1 % p][k1] * binom[i2 % p][k2]
                 if f and (f == 1 or (v := value(codes[v] * f))):
-                    part.append((j, x - shift, v))
+                    part.append((j, i1 - k1, i2 - k2, v))
             if part:
                 orders.append((k1, k2, part))
     # a coefficient of a step's output sums, per order, at most one pair per
@@ -397,16 +436,32 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
     # most n - 1 further such sums times entries of FieldSpec._red (< p)
     layout = _RowLayout(spec, len(orders) * len(coeffs) * spec.n
                         * (p - 1) ** 3 * (1 + (spec.n - 1) * (p - 1)), slots)
+    # a band row's key is its d-key plus its band above the d-key's bits,
+    # so a step sums the products of each (d-key, band) unshifted and
+    # shifts each sum once, by D1 x-slots per band, into its output row
+    bandbit, band_slots = n * wd, layout.X * d1
+    jmask = (1 << bandbit) - 1
+
+    def unband(out: dict) -> dict:
+        if n == 1:
+            return out
+        rows: dict = {}
+        for key, raw in out.items():
+            j = key & jmask
+            rows[j] = rows.get(j, 0) + (raw << band_slots * (key >> bandbit))
+        return rows
+
     X, encode = layout.X, layout.encode
     parts = []
     for k1, k2, part in orders:
         rows: dict = {}
-        for j, x, v in part:
-            rows[j] = rows.get(j, 0) | encode(v) << X * x
+        for j, x1, band, v in part:
+            key = j | band << bandbit
+            rows[key] = rows.get(key, 0) | encode(v) << X * x1
         parts.append((_row_scalars(p, k1, k2), k1 | k2 << wd,
                       tuple(rows.items())))
     # order 0 is a itself
-    acc = dict(parts[0][2])
+    acc = unband(dict(parts[0][2]))
     reduce = layout.reduce
     for _ in range(k - 1):
         out: dict = {}
@@ -421,7 +476,8 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
                     for jb, rb in rows:
                         key = jo + jb
                         out[key] = get(key, 0) + rs * rb
-        acc = {j: row for j, raw in out.items() if (row := reduce(raw))}
+        acc = {j: row for j, raw in unband(out).items()
+               if (row := reduce(raw))}
     elts = spec._elts
     result = {}
     for j, row in acc.items():

@@ -5,6 +5,7 @@ product that serves as one for F_{p^n} multiplication."""
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from weylp import FieldSpec, UniPoly, WeylElement
 
@@ -27,20 +28,30 @@ def _normal_form_dxi(j: int, i: int) -> tuple:
 
 
 def mul_by_rewriting(lhs: WeylElement, rhs: WeylElement) -> WeylElement:
-    """Term-by-term normal-ordering product for A_1; independent of the
-    closed commutation formula used by WeylElement.__mul__."""
-    assert lhs.n == 1 and rhs.n == 1
+    """Term-by-term normal-ordering product for A_1 and A_2; independent of
+    the closed commutation formula used by WeylElement.__mul__.  The axes
+    of A_2 commute with each other, so a product of two monomials is the
+    product of one normal form d_s^j x_s^i per axis s."""
+    assert lhs.n == rhs.n
+    n = lhs.n
     ring = lhs.ring
     acc: dict = {}
-    for (i1, j1), c1 in lhs.coeffs.items():
-        for (i2, j2), c2 in rhs.coeffs.items():
+    for k1, c1 in lhs.coeffs.items():
+        for k2, c2 in rhs.coeffs.items():
             base = c1 * c2
-            for (a, b), c in _normal_form_dxi(j1, i2):
-                key = (i1 + a, b + j2)
+            forms = [_normal_form_dxi(k1[n + s], k2[s]) for s in range(n)]
+            for parts in product(*forms):
+                c = 1
+                xs, ds = [], []
+                for s, ((a, b), m) in enumerate(parts):
+                    c *= m
+                    xs.append(k1[s] + a)
+                    ds.append(b + k2[n + s])
+                key = tuple(xs + ds)
                 v = base * c if c != 1 else base
                 cur = acc.get(key)
                 acc[key] = v if cur is None else cur + v
-    return WeylElement(ring, acc, 1)
+    return WeylElement(ring, acc, n)
 
 
 def field_mul_schoolbook(spec: FieldSpec, a, b) -> tuple:

@@ -1,7 +1,8 @@
 """The int-coded product kernel: codecs, powers of UniPoly/BiPoly by
-square-and-multiply, and Weyl powers over fields as a chain on packed rows
+square-and-multiply, Weyl powers over fields as a chain on packed rows
 (weyl._row_power), checked against the left fold of products, which runs
-through the separate pair kernel."""
+through the separate pair kernel, and Weyl commutators in one coded pass,
+checked against the rewriting multiplier."""
 
 import random
 from math import comb, factorial
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylp import BiPoly, FieldSpec, PolyRing, UniPoly, WeylElement
+from weylp import BiPoly, FieldSpec, PolyRing, UniPoly, WeylElement, weyl
 from weylp.gfq import CODE_STRIDE, SUPPORTED_PRIMES
 from weylp.weyl import _lucas_tables, _RowLayout, _row_scalars
 
@@ -339,3 +340,119 @@ def test_lucas_tables(p):
                 assert scalars[j1 % p + p * (j2 % p)] == (
                     factorial(k1) * comb(j1, k1) * factorial(k2)
                     * comb(j2, k2) % p)
+
+
+# every field of the row-chain property, and K[t] over a prime and an
+# extension field
+COMMUTATOR_RINGS = ROW_FIELDS + [KT, PolyRing(FieldSpec(13, 2))]
+
+
+class TestCommutator:
+    """WeylElement.commutator runs the orders k != 0 of both products in one
+    coded pass; the rewriting multiplier is its independent oracle."""
+
+    @pytest.mark.parametrize("ring", COMMUTATOR_RINGS, ids=str)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_rewriting(self, ring, n):
+        rng = random.Random(31 + n)
+        top = 2 * ring.characteristic if n == 1 else ring.characteristic
+        zero, one = WeylElement.zero(ring, n), WeylElement.one(ring, n)
+        for _ in range(6):
+            a = WeylElement(ring, random_term_map(rng, ring, 2 * n, 5, top), n)
+            b = WeylElement(ring, random_term_map(rng, ring, 2 * n, 5, top), n)
+            c = WeylElement.constant(ring, ring.random_element(rng), n)
+            for u, v in [(a, b), (b, a), (a, a), (a, zero), (zero, b),
+                         (a, c), (c, b), (one, a)]:
+                expected = mul_by_rewriting(u, v) - mul_by_rewriting(v, u)
+                assert u.commutator(v) == expected
+
+    def test_generators(self):
+        for n in (1, 2):
+            for ring in (F13, FieldSpec(13, 4), KT):
+                x = [WeylElement.x_gen(ring, s, n) for s in range(n)]
+                d = [WeylElement.d_gen(ring, s, n) for s in range(n)]
+                one, zero = WeylElement.one(ring, n), WeylElement.zero(ring, n)
+                for s in range(n):
+                    for t in range(n):
+                        assert d[s].commutator(x[t]) == (one if s == t
+                                                         else zero)
+                        assert x[s].commutator(d[t]) == (-one if s == t
+                                                         else zero)
+                        assert x[s].commutator(x[t]) == zero
+                        assert d[s].commutator(d[t]) == zero
+
+    def test_stride_guard_counts_both_products(self, monkeypatch):
+        # x^3 d^3 against itself: orders 1, 2, 3 in each product, one pair
+        # each, every operand coordinate times at most (p - 1)^2
+        spec = FieldSpec(13, 2)
+        a = WeylElement.monomial(spec, (3, 3), all_top(spec))
+        guarded = []
+        monkeypatch.setattr(spec.codec, "check_pairs",
+                            lambda *args: guarded.append(args))
+        a.commutator(a)
+        assert guarded == [(6, 12 ** 2)]
+
+    @pytest.mark.parametrize("ring", [F3, F9, FieldSpec(13, 2)], ids=str)
+    def test_centrality_check_runs_through_the_product(self, monkeypatch,
+                                                       ring):
+        # a corrupted product kernel must make the commutator side of
+        # is_central disagree with the support criterion
+        p = ring.characteristic
+        central = WeylElement(ring, {(p, 0): ring.one(), (0, 2 * p):
+                                     ring.one()}, 1)
+        plain = WeylElement.x_gen(ring) + WeylElement.d_gen(ring)
+        assert central.is_central() and not plain.is_central()
+        real = weyl._weyl_mul
+
+        def spurious_one(codec, *args):
+            acc = real(codec, *args)
+            acc[0] = acc.get(0, codec.zero) + 1
+            return acc
+
+        monkeypatch.setattr(weyl, "_weyl_mul", spurious_one)
+        with pytest.raises(AssertionError, match="centrality criteria"):
+            central.is_central()
+        monkeypatch.setattr(weyl, "_weyl_mul", lambda *args: {})
+        with pytest.raises(AssertionError, match="centrality criteria"):
+            plain.is_central()
+
+
+class TestBandedRows:
+    """A_2 row chains key their derivative rows by x2-band; sparse affine
+    bases are the case the bands are for."""
+
+    @pytest.mark.parametrize("spec", [FieldSpec(13, 2), FieldSpec(7, 3)],
+                             ids=str)
+    def test_affine_powers_match_rewriting(self, spec):
+        rng = random.Random(7)
+        keys = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                (0, 0, 0, 0)]
+        for keep in (keys, keys[1:], [keys[1], keys[2], keys[4]]):
+            a = WeylElement(spec, {key: spec.random_nonzero(rng)
+                                   for key in keep}, 2)
+            assert a ** spec.p == left_fold(a, spec.p, mul_by_rewriting)
+
+    def test_bands_and_x1_slots_of_a_dense_row(self):
+        # x2-exponents 0, 1 and 3: derivative rows in up to three bands
+        spec = FieldSpec(13, 2)
+        a = WeylElement(spec, {(2, 3, 0, 0): all_top(spec),
+                               (0, 3, 1, 0): spec.gen(),
+                               (2, 0, 0, 1): spec.one(),
+                               (1, 1, 1, 1): all_top(spec)}, 2)
+        assert a ** 4 == left_fold(a, 4, mul_by_rewriting)
+
+
+@pytest.mark.parametrize("ring", [F3, F9, F13_3, KT], ids=str)
+def test_negation_and_scaling_hold_no_zero_coefficient(ring):
+    # negation and scaling skip the constructor's zero filter
+    rng = random.Random(13)
+    for _ in range(20):
+        for value in (UniPoly(ring, random_term_map(rng, ring, 1)),
+                      BiPoly(ring, random_term_map(rng, ring, 2)),
+                      WeylElement(ring, random_term_map(rng, ring, 4), 2)):
+            c = ring.random_element(rng)
+            for out in (-value, value.scale(c), value * ring.characteristic,
+                        value * (ring.characteristic + 1)):
+                assert all(not v.is_zero() for v in out.coeffs.values())
+            assert value.scale(ring.zero()).is_zero()
+            assert (-value).coeffs.keys() == value.coeffs.keys()

@@ -1,8 +1,9 @@
 """The expression evaluator's limits: nesting depth, the degree budget,
-literal length, and error positions inside word payloads and image
-halves."""
+the term-pair budget, literal length, and error positions inside word
+payloads, image halves and field moduli."""
 
 import time
+from math import isqrt
 
 import pytest
 
@@ -10,7 +11,7 @@ from weylp import (A1, FieldSpec, ParseError, PolyRing, UniPoly, WeylElement,
                    parse_field_element, parse_images, parse_unipoly,
                    parse_weyl)
 from weylp.cli import main
-from weylp.parsing import MAX_DEGREE, MAX_LITERAL_DIGITS
+from weylp.parsing import MAX_DEGREE, MAX_LITERAL_DIGITS, MAX_PAIRS
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -109,3 +110,62 @@ class TestEvaluatorLimits:
         assert parse_unipoly("x+1  ", F3) == parse_unipoly("x+1", F3)
         assert parse_images("(x ; d )", F2, A1) == \
             parse_images("(x; d)", F2, A1)
+
+
+def _sum_of_powers(var: str, terms: int) -> str:
+    return "(" + "+".join("%s^%d" % (var, e) for e in range(terms)) + ")"
+
+
+class TestTermPairBudget:
+    def test_dense_product_exits_2_quickly(self, capsys):
+        # 8,281 by 7,553 terms: about 6e7 term pairs, under the degree
+        # budget; the two powers are computed, their product is not
+        text = "((x+d+g)^168*(x+d+1)^168; d)"
+        start = time.process_time()
+        code = main(["res", "--field", "p=13,n=4", text])
+        assert time.process_time() - start < 1.0
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err.endswith(
+            "product of 8281 and 7553 terms exceeds the budget of %d term "
+            "pairs (at position 12)\n" % MAX_PAIRS)
+        assert text[12] == "*"
+
+    def test_boundary(self):
+        k = isqrt(MAX_PAIRS)
+        assert k * k == MAX_PAIRS
+        square = _sum_of_powers("x", k)
+        assert parse_unipoly(square + "*" + square, F3) == \
+            parse_unipoly(square, F3) ** 2
+        with pytest.raises(ParseError) as info:
+            parse_unipoly(square + "*" + _sum_of_powers("x", k + 1), F3)
+        assert info.value.pos == len(square)
+        assert str(info.value) == (
+            "product of %d and %d terms exceeds the budget of %d term pairs"
+            " (at position %d)" % (k, k + 1, MAX_PAIRS, len(square)))
+        # in A_2, one term per variable and exponent
+        rows = _sum_of_powers("x1", k // 2) + "*(1+d2)"
+        assert len(parse_weyl(rows, F3, 2).coeffs) == k
+        parse_weyl(rows + "*" + rows, F3, 2)
+        with pytest.raises(ParseError, match="term pairs"):
+            parse_weyl(rows + "*(" + rows + "+x2)", F3, 2)
+
+    def test_k_t_coefficients_count_their_terms(self):
+        ring = PolyRing(F3)
+        k = isqrt(MAX_PAIRS)
+        tk = _sum_of_powers("t", k)
+        assert parse_unipoly(tk + "*x*" + tk, ring).coefficient(1) == \
+            parse_unipoly(tk, ring).coefficient(0) ** 2
+        with pytest.raises(ParseError, match="term pairs"):
+            parse_unipoly(tk + "*x*" + _sum_of_powers("t", k + 1), ring)
+
+
+@pytest.mark.parametrize("field", [
+    "p=2,n=2,mod=g^2+q", " p=2 , n=2 , mod =  g^2+q ", "p=2,mod=g^2+q,n=2",
+    "p=2,,n=2,mod=(g+1)*q",
+])
+def test_modulus_positions_index_the_field_argument(field, capsys):
+    code = main(["theta", "--field", field, "x"])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err.endswith("(at position %d)\n" % field.index("q"))
