@@ -70,26 +70,18 @@ class GenGamma(Generator):
         return "gamma[%s]" % self.mu
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GenPhi(Generator):
-    payload: UniPoly
-
-    def __eq__(self, other):
-        return isinstance(other, GenPhi) and self.payload == other.payload
+    payload: UniPoly    # unhashable, as UniPoly is
 
     def __str__(self):
         return "phi[%s]" % self.payload
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GenAffine(Generator):
     matrix: tuple  # ((a, b), (c, d))
     translation: tuple  # (e, f)
-
-    def __eq__(self, other):
-        return (isinstance(other, GenAffine)
-                and self.matrix == other.matrix
-                and self.translation == other.translation)
 
     def __str__(self):
         (a, b), (c, d) = self.matrix
@@ -238,7 +230,7 @@ class AutImages:
 
 def _gens(field: FieldSpec, target: str) -> tuple:
     if target == A1:
-        return WeylElement.x_gen(field), WeylElement.d_gen(field)
+        return WeylElement._generators(field)
     return BiPoly.gens(field)
 
 
@@ -475,15 +467,10 @@ def decompose(a: AutImages) -> AutWord:
             raise NotAnAutomorphismError("image is constant")
         if max(dp, dq) <= 1:
             break
-        if dp > dq:
+        if dp >= dq:
             # peel s: sigma = sigma' o s, images of sigma' are (-Q, P)
-            P, Q = -Q, P
+            P, Q, dp = -Q, P, dq
             tail.insert(0, GenS())
-            continue
-        if dp == dq:
-            P, Q = -Q, P
-            tail.insert(0, GenS())
-            dp, dq = P.degree, Q.degree
         # reduce Q using powers of P's leading form
         payload = UniPoly.zero(field, "X")
         while Q.degree >= dp and max(dp, Q.degree) > 1:

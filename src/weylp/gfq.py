@@ -94,6 +94,21 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible modulus found")  # unreachable
 
 
+def _g_str(coeffs, descending: bool = False) -> str:
+    """The polynomial in g with ascending coefficients ``coeffs``, lowest
+    power first (highest first if ``descending``), zero terms skipped."""
+    parts = []
+    for e, c in enumerate(coeffs):
+        if c and e == 0:
+            parts.append(str(c))
+        elif c:
+            mono = "g" if e == 1 else "g^%d" % e
+            parts.append(mono if c == 1 else "%d*%s" % (c, mono))
+    if descending:
+        parts.reverse()
+    return "+".join(parts) or "0"
+
+
 class FieldElement:
     """An element of F_{p^n}; immutable, interned by its FieldSpec."""
 
@@ -214,21 +229,9 @@ class FieldElement:
         return hash((self.spec, self.val))
 
     def __str__(self) -> str:
-        spec = self.spec
-        if spec.n == 1:
+        if self.spec.n == 1:
             return str(self.val)
-        cs = self.coeffs
-        parts = []
-        for e, c in enumerate(cs):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append("g" if c == 1 else "%d*g" % c)
-            else:
-                parts.append("g^%d" % e if c == 1 else "%d*g^%d" % (c, e))
-        return "+".join(parts) if parts else "0"
+        return _g_str(self.coeffs)
 
     __repr__ = __str__
 
@@ -256,25 +259,16 @@ class FieldSpec:
             raise UsageError("modulus must be monic")
         if not is_irreducible(modulus, p):
             raise UsageError("modulus %s is reducible over F_%d"
-                             % (self._mod_str(modulus), p))
+                             % (_g_str(modulus, True), p))
         self.p = p
         self.n = n
         self.q = p**n
         self.modulus = modulus
         # images of g^{n+k} for k = 0..n-2, as basis vectors
         red = []
-        if n > 1:
-            row = [(-modulus[i]) % p for i in range(n)]
-            red.append(tuple(row))
-            for _ in range(n - 2):
-                shifted = [0] + row[:-1]
-                top = row[-1]
-                if top:
-                    base = red[0]
-                    shifted = [(shifted[i] + top * base[i]) % p
-                               for i in range(n)]
-                row = shifted
-                red.append(tuple(row))
+        for k in range(n - 1):
+            _, rem = _poly_divmod([0] * (n + k) + [1], modulus, p)
+            red.append(tuple(rem) + (0,) * (n - len(rem)))
         self._red = red
         self._elts = [FieldElement(self, v) for v in range(self.q)]
         self.codec = FieldCodec(self)
@@ -338,21 +332,6 @@ class FieldSpec:
     def random_nonzero(self, rng) -> FieldElement:
         return self._elts[1 + rng.randrange(self.q - 1)]
 
-    @staticmethod
-    def _mod_str(modulus) -> str:
-        parts = []
-        for e in range(len(modulus) - 1, -1, -1):
-            c = modulus[e]
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append("g" if c == 1 else "%d*g" % c)
-            else:
-                parts.append("g^%d" % e if c == 1 else "%d*g^%d" % (c, e))
-        return "+".join(parts) if parts else "0"
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldSpec):
             return NotImplemented
@@ -364,7 +343,7 @@ class FieldSpec:
     def __str__(self) -> str:
         if self.n == 1:
             return "p=%d" % self.p
-        return "p=%d,n=%d,mod=%s" % (self.p, self.n, self._mod_str(self.modulus))
+        return "p=%d,n=%d,mod=%s" % (self.p, self.n, _g_str(self.modulus, True))
 
     def __repr__(self) -> str:
         return "FieldSpec(%s)" % self

@@ -213,8 +213,7 @@ def _bipoly_grammar(spec: FieldSpec, vars):
 
 def _weyl_grammar(spec: FieldSpec, n: int):
     names = ("x", "d") if n == 1 else ("x1", "x2", "d1", "d2")
-    gens = ([WeylElement.x_gen(spec, a, n) for a in range(n)]
-            + [WeylElement.d_gen(spec, a, n) for a in range(n)])
+    gens = WeylElement._generators(spec, n)
     return _grammar(dict(zip(names, gens)), WeylElement.one(spec, n), spec,
                     "an A_%d expression" % n)
 
@@ -317,9 +316,8 @@ def parse_word(text: str, spec: FieldSpec, target: str) -> AutWord:
     return AutWord(spec, target, gens)
 
 
-def parse_images(text: str, spec: FieldSpec, target: str,
-                 validate: bool = False) -> AutImages:
-    """Image pair literal (exprX ; exprY)."""
+def parse_images(text: str, spec: FieldSpec, target: str) -> AutImages:
+    """Image pair literal (exprX ; exprY), not validated."""
     stripped = text.strip()
     if not stripped.startswith("(") or not stripped.endswith(")"):
         raise ParseError("image pair must look like (exprX; exprY)", 0)
@@ -333,12 +331,11 @@ def parse_images(text: str, spec: FieldSpec, target: str,
                else _bipoly_grammar(spec, ("X", "Y")))
     img_x = _evaluate(left, *grammar, start)
     img_y = _evaluate(right, *grammar, start + len(left) + 1)
-    return AutImages(spec, target, img_x, img_y, validate=validate)
+    return AutImages(spec, target, img_x, img_y, validate=False)
 
 
-def parse_automorphism(text: str, spec: FieldSpec, target: str,
-                       validate: bool = False) -> AutImages:
-    """Either an image pair literal or a generator word."""
+def parse_automorphism(text: str, spec: FieldSpec, target: str) -> AutImages:
+    """Either an image pair literal (not validated) or a generator word."""
     if text.lstrip().startswith("("):
-        return parse_images(text, spec, target, validate=validate)
+        return parse_images(text, spec, target)
     return realize(parse_word(text, spec, target))

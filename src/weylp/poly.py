@@ -4,9 +4,12 @@ UniPoly (one printing variable, int exponent keys), BiPoly (pairs of
 exponents) and, in weyl.py, WeylElement (exponent vectors in normal order)
 are sparse maps from exponent keys to nonzero coefficients.  They share one
 private base class, _Sparse, which holds the zero-filtering constructor,
-addition, negation, scaling, square-and-multiply powers, equality, the
-canonical printer and substitution through cached powers of the images.
-Every product runs through one kernel, _mul_into, on int keys and int
+addition (which drops the keys that cancel, so that no sum is filtered
+again), negation, scaling, powers, equality, the canonical printer and
+substitution through cached powers of the images.  A power takes its
+argument check and its k = 0, zero and constant cases from the base and
+then runs its class's chain, _power: square-and-multiply here,
+WeylElement's own chain in weyl.py.  Every product runs through one kernel, _mul_into, on int keys and int
 coefficient codes: tuple keys are packed into a single int for the duration
 of a product, at a bit width taken from the operands' largest exponents so
 that exponent sums never carry from one slot into the next, and coefficients
@@ -140,13 +143,11 @@ class _Sparse:
     def _shape(self):
         return getattr(self, self._SHAPE)
 
-    def _like(self, coeffs: dict):
-        return type(self)(self.ring, coeffs, self._shape())
-
     def _from_nonzero(self, coeffs: dict):
-        """Like _like, for ``coeffs`` that hold no zero coefficient (the
-        results of products, whose codecs drop zeros, of negation and of
-        scaling by a nonzero constant): no filtering pass."""
+        """An element of our class, ring and shape with ``coeffs``, which
+        hold no zero coefficient (the results of sums, which drop the keys
+        that cancel, of products, whose codecs drop zeros, of negation and
+        of scaling by a nonzero constant): no filtering pass."""
         out = object.__new__(type(self))
         out.ring = self.ring
         out.coeffs = coeffs
@@ -183,12 +184,18 @@ class _Sparse:
         self._check_compatible(other)
         out = dict(self.coeffs)
         # over an equal ring built separately, keys only ``other`` has are
-        # added to our zero, so the sum holds our ring's own elements
+        # added to our zero, so the sum holds our ring's own elements; only
+        # a key both operands hold can cancel
         zero = None if other.ring is self.ring else self.ring.zero()
         for k, c in other.coeffs.items():
             cur = out.get(k, zero)
-            out[k] = c if cur is None else cur + c
-        return self._like(out)
+            if cur is None:
+                out[k] = c
+            elif (c := cur + c).is_zero():
+                del out[k]
+            else:
+                out[k] = c
+        return self._from_nonzero(out)
 
     # a field and K[t] have no zero divisors: negating, or scaling by a
     # nonzero c, keeps every coefficient nonzero
@@ -216,12 +223,24 @@ class _Sparse:
         return self._from_nonzero({k: v * c for k, v in self.coeffs.items()})
 
     def __pow__(self, k: int):
-        """Square-and-multiply: k.bit_length() - 1 squarings and one product
-        per further set bit of k, none for k <= 1."""
+        """self^k: one for k = 0; for zero and for a constant, no product;
+        otherwise the chain of _power."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         if k == 0:
             return self.one(self.ring, self._shape())
+        if not self.coeffs:
+            return self
+        if len(self.coeffs) == 1 and self.degree == 0:
+            # a constant: its coefficient's power, by square and multiply
+            (key, c), = self.coeffs.items()
+            return self._from_nonzero({key: c ** k})
+        return self._power(k)
+
+    def _power(self, k: int):
+        """self^k for k >= 1 by square-and-multiply: k.bit_length() - 1
+        squarings and one product per further set bit of k, none for
+        k = 1."""
         result = None
         base = self
         while True:
@@ -502,9 +521,7 @@ class BiPoly(_Sparse):
                 f = falling_factorial_mod(e, k, p)
                 if f:
                     nk = (e - k, key[1]) if axis == 0 else (key[0], e - k)
-                    cur = out.get(nk)
-                    v = c * f if f != 1 else c
-                    out[nk] = v if cur is None else cur + v
+                    out[nk] = c * f if f != 1 else c
         return BiPoly(self.ring, out, self.vars)
 
     def substitute(self, img0, img1):

@@ -77,19 +77,11 @@ def z_affine_images(field: FieldSpec, matrix, translation) -> AutImages:
 
 
 def res_affine(field: FieldSpec, matrix, translation) -> AutImages:
-    """Closed form of the restriction on affine automorphisms: entrywise p-th
-    powers, with the extra translation term (e^2+ab, f^2+cd) when p = 2."""
-    (a, b), (c, d) = matrix
-    e, f = translation
-    if a * d - b * c != field.one():
-        raise ValueError("affine matrices on A_1 must have determinant 1")
-    p = field.p
-    mat_p = ((a ** p, b ** p), (c ** p, d ** p))
-    if p == 2:
-        tr_p = (e * e + a * b, f * f + c * d)
-    else:
-        tr_p = (e ** p, f ** p)
-    return z_affine_images(field, mat_p, tr_p)
+    """Closed form of the restriction on affine automorphisms: res_n_affine
+    at n = 1 (a 2x2 matrix is symplectic iff its determinant is 1), that is
+    entrywise p-th powers, with the extra translation term (e^2+ab, f^2+cd)
+    when p = 2."""
+    return z_affine_images(field, *res_n_affine(field, matrix, translation))
 
 
 def res_phi(f: UniPoly) -> UniPoly:
@@ -188,11 +180,10 @@ def res_n_affine_bruteforce(field: FieldSpec, matrix, translation):
         raise ValueError("only A_1 and A_2 are supported")
     n = size // 2
     p = field.p
-    gens = ([WeylElement.x_gen(field, a, n) for a in range(n)]
-            + [WeylElement.d_gen(field, a, n) for a in range(n)])
     rows = []
     trans = []
-    for w in affine_forms(gens, matrix, translation):
+    for w in affine_forms(WeylElement._generators(field, n), matrix,
+                          translation):
         wp = w ** p
         if not wp.is_central():
             raise AssertionError("p-th power of an affine image not central")

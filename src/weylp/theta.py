@@ -155,7 +155,8 @@ def delta_geometric(g: UniPoly) -> UniPoly:
         while t >= p:
             t //= p
             bound += 1
-        assert terms <= bound, "nilpotency bound exceeded"
+        if terms > bound:
+            raise AssertionError("nilpotency bound exceeded")
     return total
 
 

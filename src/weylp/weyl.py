@@ -16,11 +16,12 @@ of the ring's codec; each k takes divided derivatives on the packed keys,
 with binom(m, k) mod p = binom(m mod p, k) from a p x p table kept per p
 (k < p), scales the codes by k! and hands the pair to the shared product
 kernel poly._mul_into.  Every k accumulates into one map of unreduced codes,
-which the codec reduces once and which is unpacked at the end.  A
-commutator [a, b] is one such pass: the order-0 terms of a*b and b*a are
-the same commutative product and cancel, so it runs the orders k != 0 of
-a*b, then those of b*a with k! times p - 1 (codes stay non-negative), into
-one accumulator.
+which the codec reduces once and which is unpacked at the end.  The
+product and the commutator [a, b] are one routine, WeylElement._coded_pass,
+and differ only in the orders they run: the order-0 terms of a*b and b*a
+are the same commutative product and cancel, so a commutator runs the
+orders k != 0 of a*b, then those of b*a with k! times p - 1 (codes stay
+non-negative), into one accumulator.
 
 Powers over a field, the brute-force p-th powers behind res and the
 identity checks, are a chain acc <- acc * a on rows instead (the operator-
@@ -36,7 +37,9 @@ a*x1 + b*x2 + c is two short ints, not one mostly empty one); each step
 costs one bigint product per pair of rows, one shift per output row and
 band, and one whole-row fold and mod-p reduction per output row (a Barrett
 step on every sub-slot at once), and the rows are decoded once at the end.
-Over K[t] a power is plain repeated products.  Everything else (addition,
+Over K[t] a power is plain repeated products; either chain starts after
+the argument check and the k = 0, zero and constant cases of the shared
+base.  Everything else (addition,
 scaling, equality, printing, substitution) is the shared sparse base of
 poly.py.  A term-by-term rewriting multiplier lives in the test suite as an
 independent oracle for all three routines.
@@ -102,6 +105,12 @@ class WeylElement(_Sparse):
         return cls(ring, {tuple(key): ring.one()}, n)
 
     @classmethod
+    def _generators(cls, ring, n: int = 1) -> tuple:
+        """x_1..x_n, d_1..d_n: the generators in key-slot order."""
+        return (tuple(cls.x_gen(ring, a, n) for a in range(n))
+                + tuple(cls.d_gen(ring, a, n) for a in range(n)))
+
+    @classmethod
     def from_unipoly(cls, f: UniPoly) -> "WeylElement":
         """Embed f(x) into A_1."""
         return cls(f.ring, {(e, 0): c for e, c in f.coeffs.items()}, 1)
@@ -124,38 +133,7 @@ class WeylElement(_Sparse):
     __mul__ = _Sparse.__mul__
 
     def _product(self, other: "WeylElement") -> "WeylElement":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self._from_nonzero({})
-        codec, p, n = self.ring.codec, self.ring.characteristic, self.n
-        w, a, b, ta, tb = _coded_operands(codec, a, b)
-        ks = _weyl_orders(p, n, ta, tb)
-        codec.check_pairs(len(ks) * min(len(a), len(b)), (p - 1) ** 2)
-        acc = _weyl_mul(codec, p, n, a, b, w, ks)
-        return self._from_nonzero(_unpack(codec.decode(acc), w, 2 * n))
-
-    def __pow__(self, k: int) -> "WeylElement":
-        # repeated multiplication, not the base's square-and-multiply: a
-        # step a^k * a costs |a^k| |a| term pairs, a square |a^k|^2.  Over a
-        # field the chain runs on packed rows (_row_power); over K[t] it is
-        # plain repeated products
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        if k == 0:
-            return WeylElement.one(self.ring, self.n)
-        if not self.coeffs:
-            return self._from_nonzero({})
-        key, c = next(iter(self.coeffs.items()))
-        if len(self.coeffs) == 1 and not any(key):
-            # a constant: its coefficient's power, by square and multiply
-            return self._from_nonzero({key: c ** k})
-        if not self.ring.is_field:
-            result = self
-            for _ in range(k - 1):
-                result = result * self
-            return result
-        return self._from_nonzero(
-            _row_power(self.ring, self.n, self.coeffs, k))
+        return self._coded_pass(other, 0)
 
     def commutator(self, other: "WeylElement") -> "WeylElement":
         """[self, other] = self * other - other * self in one coded pass.
@@ -164,18 +142,39 @@ class WeylElement(_Sparse):
         those of other * self with k! times p - 1 (that is, negated) so that
         codes stay non-negative, into one accumulator."""
         self._check_compatible(other)
+        return self._coded_pass(other, 1)
+
+    def _coded_pass(self, other: "WeylElement", first: int) -> "WeylElement":
+        """The orders k >= ``first`` (see _weyl_orders; the first is k = 0)
+        of self * other, and for first = 1 those of other * self negated, in
+        one pass on packed keys and coded coefficients: the product for
+        first = 0, the commutator for first = 1."""
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self._from_nonzero({})
         codec, p, n = self.ring.codec, self.ring.characteristic, self.n
         w, a, b, ta, tb = _coded_operands(codec, a, b)
-        ab = _weyl_orders(p, n, ta, tb)[1:]
-        ba = _weyl_orders(p, n, tb, ta)[1:]
+        ab = _weyl_orders(p, n, ta, tb)[first:]
+        ba = _weyl_orders(p, n, tb, ta)[1:] if first else []
         codec.check_pairs((len(ab) + len(ba)) * min(len(a), len(b)),
                           (p - 1) ** 2)
         acc = _weyl_mul(codec, p, n, a, b, w, ab)
-        acc = _weyl_mul(codec, p, n, b, a, w, ba, acc, p - 1)
+        if first:
+            acc = _weyl_mul(codec, p, n, b, a, w, ba, acc, p - 1)
         return self._from_nonzero(_unpack(codec.decode(acc), w, 2 * n))
+
+    def _power(self, k: int) -> "WeylElement":
+        # repeated multiplication, not the base's square-and-multiply: a
+        # step a^k * a costs |a^k| |a| term pairs, a square |a^k|^2.  Over a
+        # field the chain runs on packed rows (_row_power); over K[t] it is
+        # plain repeated products
+        if not self.ring.is_field:
+            result = self
+            for _ in range(k - 1):
+                result = result * self
+            return result
+        return self._from_nonzero(
+            _row_power(self.ring, self.n, self.coeffs, k))
 
     # -- centre ---------------------------------------------------------
 
@@ -185,9 +184,8 @@ class WeylElement(_Sparse):
         commutators; the two must agree."""
         p = self.ring.characteristic
         by_support = all(e % p == 0 for key in self.coeffs for e in key)
-        gens = ([WeylElement.x_gen(self.ring, a, self.n) for a in range(self.n)]
-                + [WeylElement.d_gen(self.ring, a, self.n) for a in range(self.n)])
-        by_commutators = all(self.commutator(g).is_zero() for g in gens)
+        by_commutators = all(self.commutator(g).is_zero()
+                             for g in self._generators(self.ring, self.n))
         if by_support != by_commutators:
             raise AssertionError(
                 "centrality criteria disagree on %s" % self)
@@ -331,19 +329,13 @@ class _RowLayout:
         # modulus (FieldSpec._red), lands in sub-slots 0 .. n - 1
         self.low = replicated(ones * n + zeros * (n - 1))
         self.sub = replicated(ones + zeros * (2 * n - 2))
-        self.folds = [(S * (n + k), self.encode(spec._pack(row)))
+        self.folds = [(S * (n + k), self.encode(row))
                       for k, row in enumerate(spec._red)]
 
-    def encode(self, v: int) -> int:
-        """The element with index v in FieldSpec._elts, one coordinate per
-        sub-slot."""
-        if self.n == 1:
-            return v
-        code, p = 0, self.p
-        for shift in range(0, self.S * self.n, self.S):
-            code |= (v % p) << shift
-            v //= p
-        return code
+    def encode(self, coords) -> int:
+        """An element of F_{p^n} by its coordinates in g (ascending, as
+        FieldSpec._unpack gives them), one per sub-slot."""
+        return sum(c << self.S * i for i, c in enumerate(coords))
 
     def reduce(self, row: int) -> int:
         """Every x-slot of ``row`` folded through the modulus and its
@@ -451,13 +443,13 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
             rows[j] = rows.get(j, 0) + (raw << band_slots * (key >> bandbit))
         return rows
 
-    X, encode = layout.X, layout.encode
+    X, encode, unpack = layout.X, layout.encode, spec._unpack
     parts = []
     for k1, k2, part in orders:
         rows: dict = {}
         for j, x1, band, v in part:
             key = j | band << bandbit
-            rows[key] = rows.get(key, 0) | encode(v) << X * x1
+            rows[key] = rows.get(key, 0) | encode(unpack(v)) << X * x1
         parts.append((_row_scalars(p, k1, k2), k1 | k2 << wd,
                       tuple(rows.items())))
     # order 0 is a itself

@@ -456,3 +456,24 @@ def test_negation_and_scaling_hold_no_zero_coefficient(ring):
                 assert all(not v.is_zero() for v in out.coeffs.values())
             assert value.scale(ring.zero()).is_zero()
             assert (-value).coeffs.keys() == value.coeffs.keys()
+
+
+@pytest.mark.parametrize("ring", [F3, F9, F13_3, KT], ids=str)
+def test_sums_that_cancel_hold_no_zero_coefficient(ring):
+    # a sum drops the keys that cancel itself, without the constructor's
+    # zero filter; a K[t] coefficient can also cancel in part
+    rng = random.Random(17)
+    for _ in range(20):
+        for arity, make in ((1, lambda c: UniPoly(ring, c)),
+                            (2, lambda c: BiPoly(ring, c)),
+                            (4, lambda c: WeylElement(ring, c, 2))):
+            a = make(random_term_map(rng, ring, arity))
+            assert (a + -a).is_zero() and (a - a).is_zero()
+            cancel = {k: -c for k, c in a.coeffs.items() if rng.random() < 0.5}
+            for b in (make(cancel),
+                      make({**random_term_map(rng, ring, arity), **cancel})):
+                total = a + b
+                assert all(not c.is_zero() for c in total.coeffs.values())
+                # the constructor's filter, on the sums of the coefficients
+                assert total == make({k: a.coefficient(k) + b.coefficient(k)
+                                      for k in {**a.coeffs, **b.coeffs}})

@@ -41,6 +41,19 @@ class TestFieldSpecGrammar:
         for spec in (F2, F4, F5, FieldSpec(7, 2), FieldSpec(3, 3)):
             assert parse_field_spec(str(spec)) == spec
 
+    @pytest.mark.parametrize("p, modulus, text", [
+        (5, (3, 0, 1), "g^2+3"),
+        (3, (1, 0, 2, 1), "g^3+2*g^2+1"),
+        (7, (3, 0, 2, 1), "g^3+2*g^2+3"),
+        (13, (6, 0, 1), "g^2+6"),
+        (13, (1, 0, 0, 5, 1), "g^4+5*g^3+1"),
+    ])
+    def test_roundtrip_of_non_default_moduli(self, p, modulus, text):
+        # coefficients above 1 and missing middle terms, highest power first
+        spec = FieldSpec(p, len(modulus) - 1, modulus)
+        assert str(spec) == "p=%d,n=%d,mod=%s" % (p, spec.n, text)
+        assert parse_field_spec(str(spec)) == spec
+
 
 class TestExpressions:
     def test_unipoly(self):
@@ -92,6 +105,13 @@ class TestExpressions:
     def test_field_element(self):
         assert parse_field_element("1+g", F4) == F4.gen() + F4.one()
         assert parse_field_element("2", F3) == F3.from_int(2)
+
+    @pytest.mark.parametrize("spec", [F4, FieldSpec(2, 3), FieldSpec(3, 2),
+                                      FieldSpec(13, 2),
+                                      FieldSpec(13, 2, (6, 0, 1))], ids=str)
+    def test_every_element_prints_and_parses_back(self, spec):
+        for e in spec.elements():
+            assert parse_field_element(str(e), spec) is e
 
 
 class TestWordsAndImages:

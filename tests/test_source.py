@@ -97,3 +97,13 @@ def test_parsing_does_not_recurse():
             if name not in seen:
                 seen.add(name)
                 todo.extend(calls[name])
+
+
+def test_no_assert_statements():
+    """Invariants raise AssertionError explicitly: ``python -O`` strips
+    ``assert`` statements, and the checks with them."""
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in %s" % ", ".join(found)
