@@ -26,7 +26,7 @@ input, which raises ValueError).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .gfq import FieldElement, FieldSpec
 from .poly import BiPoly, UniPoly, jacobian
@@ -44,44 +44,100 @@ class NotAnAutomorphismError(ValueError):
 # generators and words
 
 
-class Generator:
+class Record:
+    """A record of the fields its class names in ``__slots__``: built from
+    them in that order (or by name), equal to a record of the same class
+    with equal fields, printed as ``Name(field=value, ...)``.  Mutable and
+    unhashable, as a plain dataclass is; Generator makes it immutable and
+    hashable."""
+
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        # the slots' own setters, which store a field where a subclass's
+        # __setattr__ refuses to
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+        # what equality and hashing compare: the value of a single field,
+        # the tuple of values of several
+        cls._key = staticmethod(attrgetter(*names) if names
+                                else lambda record: ())
 
-@dataclass(frozen=True)
+    def __init__(self, *values, **named):
+        if named:
+            values += tuple(named.pop(name)
+                            for name in self.__slots__[len(values):]
+                            if name in named)
+        setters = self._setters
+        if named or len(values) != len(setters):
+            raise TypeError("%s takes the fields (%s)"
+                            % (type(self).__name__, ", ".join(self.__slots__)))
+        for setter, value in zip(setters, values):
+            setter(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
+
+
+class Generator(Record):
+    """A generator of a word: an immutable record, hashable when its
+    payloads are."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r of %s"
+                             % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+
 class GenS(Generator):
+    __slots__ = ()
+
     def __str__(self):
         return "s"
 
 
-@dataclass(frozen=True)
 class GenT(Generator):
-    mu: FieldElement
+    __slots__ = ("mu",)
 
     def __str__(self):
         return "t[%s]" % self.mu
 
 
-@dataclass(frozen=True)
 class GenGamma(Generator):
-    mu: FieldElement
+    __slots__ = ("mu",)
 
     def __str__(self):
         return "gamma[%s]" % self.mu
 
 
-@dataclass(frozen=True)
 class GenPhi(Generator):
-    payload: UniPoly    # unhashable, as UniPoly is
+    __slots__ = ("payload",)    # unhashable, as UniPoly is
 
     def __str__(self):
         return "phi[%s]" % self.payload
 
 
-@dataclass(frozen=True)
 class GenAffine(Generator):
-    matrix: tuple  # ((a, b), (c, d))
-    translation: tuple  # (e, f)
+    __slots__ = ("matrix", "translation")    # ((a, b), (c, d)), (e, f)
 
     def __str__(self):
         (a, b), (c, d) = self.matrix

@@ -14,7 +14,6 @@ syntax errors.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -142,6 +141,7 @@ def _run(args) -> int:
     spec = parse_field_spec(args.field)
     result, checks = _COMMANDS[args.command][0](args, spec)
     if args.json:
+        import json     # here only: every other command would pay its load
         print(json.dumps({"kind": args.command, "field": str(spec),
                           "result": result, "checks": checks}))
     else:

@@ -18,7 +18,7 @@ product.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 MAX_DEGREE = 4

@@ -15,25 +15,21 @@ payload, s by itself) and realize the resulting word on A_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .autgrp import (A1, Z, AutImages, AutWord, GenAffine, GenGamma, GenPhi,
-                     GenS, GenT, affine_forms, decompose, generator_images,
-                     in_gamma, mat_mul, realize)
-from .gfq import FieldElement, FieldSpec
+                     GenS, GenT, Record, affine_forms, decompose,
+                     generator_images, in_gamma, mat_mul, realize)
+from .gfq import FieldSpec
 from .poly import BiPoly, UniPoly
 from .weyl import WeylElement
 
 
-@dataclass
-class ResResult:
+class ResResult(Record):
     """Restriction of an A_1 automorphism: the centre images plus the checked
-    invariants (jacobian constant 1, degree preserved)."""
+    invariants (jacobian constant 1, degree preserved): the AutImages
+    ``image`` on Z, the FieldElement ``jacobian_value`` and the int degrees
+    ``degree_in`` and ``degree_out``."""
 
-    image: AutImages
-    jacobian_value: FieldElement
-    degree_in: int
-    degree_out: int
+    __slots__ = ("image", "jacobian_value", "degree_in", "degree_out")
 
 
 def res(a: AutImages) -> ResResult:

@@ -9,9 +9,7 @@ acceptance tests are both built on these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
-from .autgrp import (A1, Z, AutWord, GenGamma, GenPhi, GenS, GenT,
+from .autgrp import (A1, Z, AutWord, GenGamma, GenPhi, GenS, GenT, Record,
                      in_gamma, mat_mul, realize)
 from .gfq import FieldSpec, UsageError
 from .poly import BiPoly, PolyRing, UniPoly
@@ -22,12 +20,16 @@ from .weyl import (verify_pth_power_identity,
                    verify_pth_power_identity_2vars)
 
 
-@dataclass
-class SuiteReport:
-    name: str
-    count: int
-    passes: int
-    failures: list = dataclass_field(default_factory=list)
+class SuiteReport(Record):
+    """How many of ``count`` cases of suite ``name`` passed, and the failing
+    inputs; run_suite updates it in place."""
+
+    __slots__ = ("name", "count", "passes", "failures")
+
+    def __init__(self, name: str, count: int, passes: int,
+                 failures: list | None = None):
+        Record.__init__(self, name, count, passes,
+                        [] if failures is None else failures)
 
     @property
     def all_passed(self) -> bool:

@@ -58,6 +58,11 @@ from math import comb
 from .poly import BiPoly, UniPoly, _mul_into, _pack, _Sparse, _unpack
 
 
+# (ring, n) -> WeylElement._generators(ring, n), for the last ring object
+# of each value that asked
+_GENERATORS: dict = {}
+
+
 class WeylElement(_Sparse):
     """Normal-form element of A_n; keys are (i_1..i_n, j_1..j_n)."""
 
@@ -106,9 +111,15 @@ class WeylElement(_Sparse):
 
     @classmethod
     def _generators(cls, ring, n: int = 1) -> tuple:
-        """x_1..x_n, d_1..d_n: the generators in key-slot order."""
-        return (tuple(cls.x_gen(ring, a, n) for a in range(n))
+        """x_1..x_n, d_1..d_n: the generators in key-slot order, built once
+        per ring object and rank (no element is changed in place, so every
+        caller can share them)."""
+        gens = _GENERATORS.get((ring, n))
+        if gens is None or gens[0].ring is not ring:
+            gens = _GENERATORS[ring, n] = (
+                tuple(cls.x_gen(ring, a, n) for a in range(n))
                 + tuple(cls.d_gen(ring, a, n) for a in range(n)))
+        return gens
 
     @classmethod
     def from_unipoly(cls, f: UniPoly) -> "WeylElement":

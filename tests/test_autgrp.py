@@ -334,3 +334,52 @@ class TestInvert:
             assert compose(back, img) == ident
             inv_img = invert(img)
             assert compose(img, inv_img) == ident
+
+
+class TestGeneratorRecords:
+    """The value semantics of the generator records: equality by class and
+    fields, hashing, immutability and the printed form."""
+
+    F9 = FieldSpec(3, 2)
+
+    def test_equality_needs_class_and_fields(self):
+        g, one = self.F9.gen(), self.F9.one()
+        assert GenT(g) == GenT(g)
+        assert GenT(g) != GenT(one)
+        assert GenT(g) != GenGamma(g)
+        assert GenS() == GenS()
+        assert GenS() != GenT(g)
+
+    def test_hashing(self):
+        F = self.F9
+        g, one, zero = F.gen(), F.one(), F.zero()
+        a = GenAffine(((one, g), (zero, one)), (g, zero))
+        b = GenAffine(((one, g), (zero, one)), (g, zero))
+        assert a == b and hash(a) == hash(b)
+        assert hash(GenT(g)) == hash(GenT(g))
+        assert hash(GenS()) == hash(GenS())
+        with pytest.raises(TypeError):
+            hash(GenPhi(UniPoly.variable(F, "x")))
+
+    def test_immutable(self):
+        g = self.F9.gen()
+        gen = GenT(g)
+        with pytest.raises(AttributeError):
+            gen.mu = self.F9.one()
+        with pytest.raises(AttributeError):
+            del gen.mu
+        with pytest.raises(AttributeError):
+            GenS().mu = g
+        assert gen.mu is g
+
+    def test_repr(self):
+        F = self.F9
+        g, one, zero = F.gen(), F.one(), F.zero()
+        assert repr(GenS()) == "GenS()"
+        assert repr(GenT(g)) == "GenT(mu=g)"
+        assert repr(GenGamma(g + one)) == "GenGamma(mu=1+g)"
+        x = UniPoly.variable(F, "x")
+        assert repr(GenPhi(x * x + UniPoly.constant(F, g, "x"))) == (
+            "GenPhi(payload=UniPoly(x^2+g))")
+        assert repr(GenAffine(((one, g), (zero, one)), (g, zero))) == (
+            "GenAffine(matrix=((1, g), (0, 1)), translation=(g, 0))")

@@ -148,6 +148,22 @@ def test_failure_summary_format():
     assert not rep.all_passed
 
 
+def test_suite_report_record():
+    from weylp.suites import SuiteReport
+    rep = SuiteReport("demo", 5, 3, failures=["x^2+1"])
+    assert rep.failures == ["x^2+1"]
+    assert rep == SuiteReport("demo", 5, 3, ["x^2+1"])
+    assert rep != SuiteReport("demo", 5, 3)
+    assert repr(rep) == (
+        "SuiteReport(name='demo', count=5, passes=3, failures=['x^2+1'])")
+    # the default is a fresh list per report, and a report is updated in place
+    first, second = SuiteReport("a", 1, 0), SuiteReport("a", 1, 0)
+    assert first.failures == [] and first.failures is not second.failures
+    first.passes += 1
+    first.failures.append("x")
+    assert (first.passes, second.failures) == (1, [])
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "weylp.cli", "theta", "--field", "p=2", "x"],

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from weylp import (A1, Z, AutImages, AutWord, BiPoly, FieldSpec, GenGamma,
-                   GenPhi, GenS, GenT, UniPoly, WeylElement,
+                   GenPhi, GenS, GenT, ResResult, UniPoly, WeylElement,
                    a1_affine_images, compose, in_gamma, is_symplectic,
                    realize, res, res_affine, res_inverse, res_n_affine,
                    res_n_affine_bruteforce, res_phi, symplectic_form,
@@ -262,3 +262,17 @@ class TestResNAffine:
                 out_m, out_t = res_n_affine(spec, matrix, tr)
                 assert z_affine_images(spec, out_m, out_t) == \
                     res_affine(spec, matrix, tr)
+
+
+class TestResResultRecord:
+    def test_equality_and_repr(self):
+        word = AutWord(F3, A1, [GenT(F3.from_int(2)),
+                                GenPhi(UniPoly.variable(F3, "x") ** 2)])
+        out = res(realize(word))
+        assert out == res(realize(word))
+        assert out != res(imgs(F3, GenT(F3.from_int(2)), target=A1))
+        assert repr(out) == (
+            "ResResult(image=AutImages(Z: (2*X; X^2+2*Y+2)), "
+            "jacobian_value=1, degree_in=2, degree_out=2)")
+        assert ResResult(image=out.image, jacobian_value=F3.one(),
+                         degree_in=2, degree_out=2) == out

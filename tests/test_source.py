@@ -2,6 +2,9 @@
 that a module never uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +110,21 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, "assert statements in %s" % ", ".join(found)
+
+
+def test_cli_import_loads_no_unneeded_stdlib():
+    """A cold ``import weylp.cli``, without ``site`` (which may load some of
+    these itself), loads every module of the package and none of the
+    standard-library modules it has no use for: each costs start-up time
+    on every command."""
+    code = "import sys, weylp.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    loaded = set(out.split())
+    unneeded = loaded & {"dataclasses", "inspect", "json", "typing"}
+    assert not unneeded, sorted(unneeded)
+    package = {"weylp." + name for name in (
+        "gfq", "poly", "weyl", "theta", "autgrp", "resmap", "parsing",
+        "suites", "cli")}
+    assert package <= loaded, sorted(package - loaded)
