@@ -191,6 +191,7 @@ class AutWord:
                         "phi payload must be a polynomial in %s over %s"
                         % (var, field))
             elif isinstance(gen, GenAffine):
+                _check_affine(gen.matrix, gen.translation, 2)
                 det = _det2(gen.matrix)
                 if det.is_zero():
                     raise ValueError("affine matrix must be invertible")
@@ -294,9 +295,20 @@ def identity_images(field: FieldSpec, target: str) -> AutImages:
     return AutImages(field, target, *_gens(field, target), validate=False)
 
 
+def _check_affine(matrix, translation, size: int) -> None:
+    """Refuse an affine map whose matrix is not size x size or whose
+    translation has not size entries."""
+    if (len(matrix) != size or len(translation) != size
+            or any(len(row) != size for row in matrix)):
+        raise ValueError(
+            "an affine map on %d generators needs a %dx%d matrix and %d "
+            "translation entries" % (size, size, size, size))
+
+
 def affine_forms(gens, matrix, translation) -> list:
     """The images sum_j A_ij g_j + a_i of the generators g_j under the affine
     map with matrix A and translation a."""
+    _check_affine(matrix, translation, len(gens))
     one = gens[0] ** 0
     return [sum((g.scale(c) for g, c in zip(gens, row)), one.scale(a))
             for row, a in zip(matrix, translation)]
@@ -332,14 +344,8 @@ def compose(a: AutImages, b: AutImages) -> AutImages:
         raise ValueError("target mismatch: %s vs %s" % (a.target, b.target))
     if a.field != b.field:
         raise ValueError("field mismatch")
-    if a.target == Z:
-        return AutImages(a.field, Z,
-                         b.img_x.substitute(a.img_x, a.img_y),
-                         b.img_y.substitute(a.img_x, a.img_y), validate=False)
-    imgs = [a.img_x, a.img_y]
-    return AutImages(a.field, A1,
-                     b.img_x.substitute_gens(imgs),
-                     b.img_y.substitute_gens(imgs), validate=False)
+    return AutImages(a.field, a.target, apply_images(a, b.img_x),
+                     apply_images(a, b.img_y), validate=False)
 
 
 def realize(word: AutWord) -> AutImages:
@@ -468,7 +474,6 @@ def _leading_scalar(lf_big: BiPoly, lf_small_pow: BiPoly):
 def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
     """Factor a degree-1 pair of Z images into [gamma] [t] (s/linear-phi
     word); raises NotAnAutomorphismError when the linear part is singular."""
-    zero = field.zero()
     one = field.one()
     a, b = img_x.coefficient((1, 0)), img_x.coefficient((0, 1))
     c, d = img_y.coefficient((1, 0)), img_y.coefficient((0, 1))

@@ -18,7 +18,7 @@ product.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 MAX_DEGREE = 4
@@ -32,13 +32,6 @@ class UsageError(ValueError):
     """Malformed or unsupported input such as a bad field spec, an unknown
     suite or a non-positive count, as opposed to well-formed input that gets
     a negative verdict."""
-
-
-def _eval_mod(coeffs: Iterable[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -57,41 +50,24 @@ def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], lis
     return quot, num
 
 
+def _monics(p: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Every monic polynomial of degree n over F_p, as ascending
+    coefficients, the lower ones counted up in base p."""
+    for v in range(p**n):
+        yield tuple(v // p**i % p for i in range(n)) + (1,)
+
+
 def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Trial root/factor search; enough for the degrees (<= 4) supported."""
-    deg = len(modulus) - 1
-    if deg == 1:
-        return True
-    if any(_eval_mod(modulus, x, p) == 0 for x in range(p)):
-        return False
-    if deg < 4:
-        return True
-    # degree 4 and no roots: only quadratic factors remain possible
-    for b in range(p):
-        for c in range(p):
-            quad = [c, b, 1]
-            if any(_eval_mod(quad, x, p) == 0 for x in range(p)):
-                continue
-            _, rem = _poly_divmod(list(modulus), quad, p)
-            if rem == [0]:
-                return False
-    return True
+    """Trial division by every monic polynomial of degree 1 .. deg/2;
+    enough for the degrees (<= 4) supported."""
+    return not any(_poly_divmod(modulus, den, p)[1] == [0]
+                   for d in range(1, (len(modulus) - 1) // 2 + 1)
+                   for den in _monics(p, d))
 
 
 def default_modulus(p: int, n: int) -> tuple[int, ...]:
     """First monic irreducible of degree n, lower coefficients counted in base p."""
-    if n == 1:
-        return (0, 1)
-    for v in range(p**n):
-        coeffs = []
-        t = v
-        for _ in range(n):
-            coeffs.append(t % p)
-            t //= p
-        mod = tuple(coeffs) + (1,)
-        if is_irreducible(mod, p):
-            return mod
-    raise AssertionError("no irreducible modulus found")  # unreachable
+    return next(mod for mod in _monics(p, n) if is_irreducible(mod, p))
 
 
 def _g_str(coeffs, descending: bool = False) -> str:

@@ -40,9 +40,10 @@ from .weyl import WeylElement
 MAX_DEGREE = 512
 # largest number of term pairs a product may multiply: the product of its
 # operands' term counts, a K[t] coefficient counting its terms in t.  The
-# benchmark's products have at most 1 pair and the tests' at most 36; the
-# slowest admitted product found, two 128-term A_2 operands over F_{13^4}
-# of degree at least 12 in each variable, takes about 1.3 s.
+# benchmark's products have at most 1 pair and the tests' at most 36.  The
+# slowest admitted product found is two 128-term A_2 operands over F_{13^4}
+# of degree at least 12 in each variable; CHANGES.md gives its time, in the
+# entry "Second copies, round two".
 MAX_PAIRS = 128 * 128
 # Python's default limit on converting a digit string to an int
 MAX_LITERAL_DIGITS = 4300

@@ -23,9 +23,12 @@ operands; WeylElement hands it the divided derivatives of its commutation
 rule (its powers over a field run on packed rows instead, in weyl.py).
 
 Also here is the characteristic-p tooling everything above is built from:
-divided powers d^[k] = d^k/k! via Lucas binomials (exact even when k!
-vanishes mod p), the base-p splitting K[x] = sum K[x^p] x^i, leading terms,
-and Jacobians of polynomial pairs.
+one derivative rule, _Sparse._lower, which lowers one key slot by k with a
+factor mod p per exponent and so gives UniPoly's k-th derivative (falling
+factorials) and divided power d^[k] = d^k/k! (Lucas binomials, exact even
+when k! vanishes mod p) as well as BiPoly's partial derivatives; the base-p
+splitting K[x] = sum K[x^p] x^i, leading terms, and Jacobians of polynomial
+pairs.
 
 The coefficient ring is either a FieldSpec (elements: FieldElement, codec:
 gfq.FieldCodec) or a PolyRing over one (elements: UniPoly in ``t``), the
@@ -280,6 +283,29 @@ class _Sparse:
             result = term if result is None else result + term
         return one * self.ring.zero() if result is None else result
 
+    def _lower(self, slot: int, k: int, factor):
+        """The derivative rule: each term with exponent e in key slot
+        ``slot`` goes to e - k there, times factor(e, k, p) (mod p, zero
+        for e < k); the terms whose factor is zero drop out.  UniPoly's
+        derivative and divided power and BiPoly's partial derivative."""
+        if k < 0:
+            raise ValueError("derivative order must be >= 0")
+        if not 0 <= slot < len(self._names()):
+            raise ValueError("axis must be in 0..%d, got %r"
+                             % (len(self._names()) - 1, slot))
+        p = self.ring.characteristic
+        out = {}
+        for key, c in self.coeffs.items():
+            exps = [key] if isinstance(key, int) else list(key)
+            f = factor(exps[slot], k, p)
+            if f:
+                exps[slot] -= k
+                out[exps[0] if isinstance(key, int) else tuple(exps)] = (
+                    c * f if f != 1 else c)
+        # a factor 0 < f < p keeps every coefficient nonzero in
+        # characteristic p, as scaling does
+        return self._from_nonzero(out)
+
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
@@ -389,28 +415,11 @@ class UniPoly(_Sparse):
 
     def derivative(self, k: int = 1) -> "UniPoly":
         """k-th formal derivative."""
-        if k < 0:
-            raise ValueError("derivative order must be >= 0")
-        p = self.ring.characteristic
-        out = {}
-        for e, c in self.coeffs.items():
-            if e >= k:
-                f = falling_factorial_mod(e, k, p)
-                if f:
-                    out[e - k] = c * f if f != 1 else c
-        return UniPoly(self.ring, out, self.var)
+        return self._lower(0, k, falling_factorial_mod)
 
     def divided_power(self, k: int) -> "UniPoly":
         """d^[k] = d^k / k!: maps x^m to binomial(m, k) x^{m-k} (Lucas mod p)."""
-        if k < 0:
-            raise ValueError("divided power order must be >= 0")
-        p = self.ring.characteristic
-        out = {}
-        for e, c in self.coeffs.items():
-            b = lucas_binomial(e, k, p)
-            if b:
-                out[e - k] = c * b if b != 1 else c
-        return UniPoly(self.ring, out, self.var)
+        return self._lower(0, k, lucas_binomial)
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by var^k."""
@@ -513,16 +522,7 @@ class BiPoly(_Sparse):
 
     def derivative(self, axis: int, k: int = 1) -> "BiPoly":
         """k-th formal partial derivative along axis 0 or 1."""
-        p = self.ring.characteristic
-        out = {}
-        for key, c in self.coeffs.items():
-            e = key[axis]
-            if e >= k:
-                f = falling_factorial_mod(e, k, p)
-                if f:
-                    nk = (e - k, key[1]) if axis == 0 else (key[0], e - k)
-                    out[nk] = c * f if f != 1 else c
-        return BiPoly(self.ring, out, self.vars)
+        return self._lower(axis, k, falling_factorial_mod)
 
     def substitute(self, img0, img1):
         """Ring homomorphism sending the two variables to img0, img1."""

@@ -16,8 +16,8 @@ payload, s by itself) and realize the resulting word on A_1.
 from __future__ import annotations
 
 from .autgrp import (A1, Z, AutImages, AutWord, GenAffine, GenGamma, GenPhi,
-                     GenS, GenT, Record, affine_forms, decompose,
-                     generator_images, in_gamma, mat_mul, realize)
+                     GenS, GenT, Record, _check_affine, affine_forms,
+                     decompose, generator_images, in_gamma, mat_mul, realize)
 from .gfq import FieldSpec
 from .poly import BiPoly, UniPoly
 from .weyl import WeylElement
@@ -148,6 +148,7 @@ def res_n_affine(field: FieldSpec, matrix, translation):
     translation = tuple(translation)
     if not is_symplectic(matrix, field):
         raise ValueError("matrix is not symplectic for the commutator form")
+    _check_affine(matrix, translation, len(matrix))
     p = field.p
     size = len(matrix)
     n = size // 2
@@ -167,33 +168,23 @@ def res_n_affine(field: FieldSpec, matrix, translation):
 
 def res_n_affine_bruteforce(field: FieldSpec, matrix, translation):
     """The same restriction computed honestly: build each affine image in
-    A_n, take its p-th power, check it is central and affine in the centre
-    generators X_j = x_j^p, and read off the coefficient rows."""
+    A_n, take its p-th power, read it in the centre generators X_j = x_j^p
+    (which checks that it is central) and check that it is affine there,
+    then read off the coefficient rows."""
     matrix = tuple(tuple(row) for row in matrix)
-    translation = tuple(translation)
     size = len(matrix)
     if size not in (2, 4):
         raise ValueError("only A_1 and A_2 are supported")
-    n = size // 2
-    p = field.p
+    zero = field.zero()
+    origin = (0,) * size
+    units = [tuple(int(i == j) for j in range(size)) for i in range(size)]
     rows = []
     trans = []
-    for w in affine_forms(WeylElement._generators(field, n), matrix,
-                          translation):
-        wp = w ** p
-        if not wp.is_central():
-            raise AssertionError("p-th power of an affine image not central")
-        row = [field.zero()] * size
-        const = field.zero()
-        for key, c in wp.coeffs.items():
-            divided = tuple(e // p for e in key)
-            total = sum(divided)
-            if total == 0:
-                const = c
-            elif total == 1:
-                row[divided.index(1)] = c
-            else:
-                raise AssertionError("affine restriction is not affine")
-        rows.append(tuple(row))
-        trans.append(const)
+    for w in affine_forms(WeylElement._generators(field, size // 2), matrix,
+                          tuple(translation)):
+        centre = (w ** field.p)._center_coeffs()
+        if set(centre) - {origin, *units}:
+            raise AssertionError("affine restriction is not affine")
+        rows.append(tuple(centre.get(unit, zero) for unit in units))
+        trans.append(centre.get(origin, zero))
     return tuple(rows), tuple(trans)

@@ -44,6 +44,9 @@ scaling, equality, printing, substitution) is the shared sparse base of
 poly.py.  A term-by-term rewriting multiplier lives in the test suite as an
 independent oracle for all three routines.
 
+Central elements are read in the centre generators x_i^p, d_i^p by one
+reader, WeylElement._center_coeffs (the centrality check, then exponent
+division), behind to_center on A_1 and resmap's affine brute force on A_2.
 The module also hosts the brute-force checks of the p-th power identity
 (d + f)^p = d^p + f^{(p-1)} + f^p, in A_1 over fields and over K[t], and its
 two-variable analogue in A_2.
@@ -202,18 +205,23 @@ class WeylElement(_Sparse):
                 "centrality criteria disagree on %s" % self)
         return by_support
 
-    def to_center(self) -> BiPoly:
-        """Coordinates of a central element of A_1 in the centre K[X, Y],
-        X = x^p, Y = d^p (exponent division, since x^{pa} d^{pb} is already
-        in normal order)."""
-        if self.n != 1:
-            raise ValueError("to_center is defined for A_1 only")
+    def _center_coeffs(self) -> dict:
+        """The coefficients of a central element in the centre generators
+        x_i^p, d_i^p: its keys with every exponent divided by p (exponent
+        division, since x^{pa} d^{pb} is already in normal order).  Raises
+        ValueError when the element is not central."""
         if not self.is_central():
             raise ValueError("element is not central")
         p = self.ring.characteristic
-        return BiPoly(self.ring,
-                      {(i // p, j // p): c
-                       for (i, j), c in self.coeffs.items()})
+        return {tuple(e // p for e in key): c
+                for key, c in self.coeffs.items()}
+
+    def to_center(self) -> BiPoly:
+        """Coordinates of a central element of A_1 in the centre K[X, Y],
+        X = x^p, Y = d^p."""
+        if self.n != 1:
+            raise ValueError("to_center is defined for A_1 only")
+        return BiPoly(self.ring, self._center_coeffs())
 
     def substitute_gens(self, images: list["WeylElement"]) -> "WeylElement":
         """Apply the homomorphism sending generator k to images[k]
@@ -494,20 +502,19 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
 
 def verify_pth_power_identity(f: UniPoly) -> bool:
     """Brute-force check in A_1 that (d + f)^p = d^p + f^{(p-1)} + f^p, and
-    the equivalent form d^p - a_{p-1}(x^p) + f^p where a_{p-1} is the top
-    component of the base-p splitting of f.  Works over any coefficient ring
-    of characteristic p (field or K[t])."""
+    that f^{(p-1)} = -a_{p-1}(x^p), where a_{p-1} is the top component of
+    the base-p splitting of f, so that the right side is also
+    d^p - a_{p-1}(x^p) + f^p.  Works over any coefficient ring of
+    characteristic p (field or K[t])."""
     ring = f.ring
     p = ring.characteristic
     d = WeylElement.d_gen(ring)
     lhs = (d + WeylElement.from_unipoly(f)) ** p
-    f_to_p = f ** p
     der = f.derivative(p - 1)
-    rhs = d ** p + WeylElement.from_unipoly(der) + WeylElement.from_unipoly(f_to_p)
+    rhs = (d ** p + WeylElement.from_unipoly(der)
+           + WeylElement.from_unipoly(f ** p))
     top = f.p_decompose()[p - 1].expand_inner(f.var)
-    rhs_top_form = (d ** p - WeylElement.from_unipoly(top)
-                    + WeylElement.from_unipoly(f_to_p))
-    return lhs == rhs and lhs == rhs_top_form and der == -top
+    return lhs == rhs and der == -top
 
 
 def verify_pth_power_identity_2vars(f: BiPoly, axis: int) -> bool:

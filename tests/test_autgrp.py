@@ -47,6 +47,16 @@ class TestWordValidation:
         # on Z the same matrix is fine (GL_2)
         AutWord(F3, Z, [GenAffine(((two, zero), (zero, one)), (zero, zero))])
 
+    def test_affine_shape_checked(self):
+        one, zero = F3.one(), F3.zero()
+        ident = ((one, zero), (zero, one))
+        ident4 = tuple(tuple(one if i == j else zero for j in range(4))
+                       for i in range(4))
+        for gen in (GenAffine(ident, (one,)),
+                    GenAffine(ident4, (zero,) * 4)):
+            with pytest.raises(ValueError, match="2x2 matrix"):
+                AutWord(F3, Z, [gen])
+
     def test_phi_payload_variable_check(self):
         with pytest.raises(ValueError):
             AutWord(F3, A1, [GenPhi(UniPoly.variable(F3, "X"))])

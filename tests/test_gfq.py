@@ -52,6 +52,22 @@ class TestConstruction:
         # x^4 + x + 1 is irreducible over F_2
         assert is_irreducible((1, 1, 0, 0, 1), 2)
 
+    def test_irreducible_count_matches_gauss_formula(self):
+        # monic irreducibles of degree n over F_p number
+        # (1/n) sum_{d | n} mu(d) p^(n/d); n = 4 at p = 11, 13 is left out
+        # for time (14,641 and 28,561 candidates)
+        mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+        for p in (2, 3, 5, 7, 11, 13):
+            for n in range(1, 5):
+                if n == 4 and p > 7:
+                    continue
+                expected = sum(mobius[d] * p ** (n // d)
+                               for d in mobius if n % d == 0) // n
+                found = sum(
+                    is_irreducible(tuple(low) + (1,), p)
+                    for low in itertools.product(range(p), repeat=n))
+                assert found == expected, (p, n)
+
     def test_spec_equality_and_str(self):
         a = FieldSpec(2, 2, (1, 1, 1))
         b = FieldSpec(2, 2, (1, 1, 1))

@@ -264,6 +264,16 @@ class TestBiPoly:
         assert f.derivative(1) == X ** 2 + Y * 2
         assert f.derivative(1, 2) == BiPoly.constant(F3, 2)
 
+    def test_derivative_rejects_bad_order_and_axis(self):
+        X, Y = BiPoly.gens(F3)
+        for call in (lambda: (X * Y).derivative(0, -1),
+                     lambda: (X * Y).derivative(2),
+                     lambda: (X * Y).derivative(-1),
+                     lambda: UniPoly.variable(F3).derivative(-1),
+                     lambda: UniPoly.variable(F3).divided_power(-1)):
+            with pytest.raises(ValueError):
+                call()
+
 
 class TestPolyRing:
     def test_theorem_ring_instance(self):

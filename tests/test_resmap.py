@@ -264,6 +264,29 @@ class TestResNAffine:
                     res_affine(spec, matrix, tr)
 
 
+def identity_matrix(spec, size):
+    return tuple(tuple(spec.one() if i == j else spec.zero()
+                       for j in range(size)) for i in range(size))
+
+
+class TestAffineShape:
+    """An affine map whose translation has the wrong length is refused,
+    naming the size it needs."""
+
+    def test_res_n_affine(self):
+        with pytest.raises(ValueError, match="4x4 matrix"):
+            res_n_affine(F3, identity_matrix(F3, 4), (F3.one(),) * 3)
+
+    def test_res_n_affine_bruteforce(self):
+        with pytest.raises(ValueError, match="4x4 matrix"):
+            res_n_affine_bruteforce(F3, identity_matrix(F3, 4),
+                                    (F3.one(),) * 3)
+
+    def test_a1_affine_images(self):
+        with pytest.raises(ValueError, match="2x2 matrix"):
+            a1_affine_images(F3, identity_matrix(F3, 2), (F3.one(),) * 3)
+
+
 class TestResResultRecord:
     def test_equality_and_repr(self):
         word = AutWord(F3, A1, [GenT(F3.from_int(2)),
