@@ -49,7 +49,8 @@ class Record:
     them in that order (or by name), equal to a record of the same class
     with equal fields, printed as ``Name(field=value, ...)``.  Mutable and
     unhashable, as a plain dataclass is; Generator makes it immutable and
-    hashable."""
+    hashable.  Words and image pairs are records whose own constructors
+    validate."""
 
     __slots__ = ()
 
@@ -164,7 +165,19 @@ def _inv2(m):
     return ((d * di, -b * di), (-c * di, a * di))
 
 
-class AutWord:
+def _payload_var(target: str) -> str:
+    """The variable of a phi payload: x on A_1, X on Z."""
+    return "x" if target == A1 else "X"
+
+
+def _require_elements(gen: Generator, field: FieldSpec, values) -> None:
+    """Refuse a generator whose payloads are not elements of ``field``."""
+    for v in values:
+        if not isinstance(v, FieldElement) or v.spec != field:
+            raise ValueError("%r needs payloads in %s" % (gen, field))
+
+
+class AutWord(Record):
     """A word over the generator alphabet, tied to a field and a target
     algebra (A1 or Z).  A_1 words never contain gamma and their affine
     matrices have determinant 1."""
@@ -174,13 +187,11 @@ class AutWord:
     def __init__(self, field: FieldSpec, target: str, gens):
         if target not in (A1, Z):
             raise ValueError("target must be %r or %r" % (A1, Z))
-        self.field = field
-        self.target = target
-        self.gens = tuple(gens)
-        var = "x" if target == A1 else "X"
-        one = field.one()
+        Record.__init__(self, field, target, tuple(gens))
+        var = _payload_var(target)
         for gen in self.gens:
             if isinstance(gen, (GenT, GenGamma)):
+                _require_elements(gen, field, (gen.mu,))
                 if gen.mu.is_zero():
                     raise ValueError("scaling payload must be nonzero")
                 if target == A1 and isinstance(gen, GenGamma):
@@ -192,10 +203,12 @@ class AutWord:
                         % (var, field))
             elif isinstance(gen, GenAffine):
                 _check_affine(gen.matrix, gen.translation, 2)
+                _require_elements(gen, field, (*gen.matrix[0], *gen.matrix[1],
+                                               *gen.translation))
                 det = _det2(gen.matrix)
                 if det.is_zero():
                     raise ValueError("affine matrix must be invertible")
-                if target == A1 and det != one:
+                if target == A1 and det != field.one():
                     raise ValueError(
                         "affine matrices on A_1 must have determinant 1")
             elif not isinstance(gen, GenS):
@@ -203,14 +216,6 @@ class AutWord:
 
     def __len__(self):
         return len(self.gens)
-
-    def __eq__(self, other):
-        if not isinstance(other, AutWord):
-            return NotImplemented
-        return (self.field == other.field and self.target == other.target
-                and self.gens == other.gens)
-
-    __hash__ = None
 
     def __str__(self):
         return " ".join(str(g) for g in self.gens)
@@ -223,12 +228,15 @@ class AutWord:
 # image pairs
 
 
-class AutImages:
+class AutImages(Record):
     """An automorphism (or, when validate=False, a mere endomorphism) given
     by the images of the two algebra generators: BiPoly pair on Z, Weyl
     element pair on A_1."""
 
     __slots__ = ("field", "target", "img_x", "img_y")
+    # copies and pickles restore the slots as they are: an endomorphism
+    # built with validate=False is not validated again
+    __reduce__ = object.__reduce__
 
     def __init__(self, field: FieldSpec, target: str, img_x, img_y,
                  validate: bool = True):
@@ -238,6 +246,8 @@ class AutImages:
         if not isinstance(img_x, kind) or not isinstance(img_y, kind):
             raise ValueError("%s images must be %s values"
                              % (target, kind.__name__))
+        # plain stores, not Record.__init__: realize and compose build one
+        # pair per generator
         self.field = field
         self.target = target
         self.img_x = img_x
@@ -269,14 +279,6 @@ class AutImages:
     def degree(self) -> int:
         d = max(self.img_x.degree, self.img_y.degree)
         return 0 if d == float("-inf") else int(d)
-
-    def __eq__(self, other):
-        if not isinstance(other, AutImages):
-            return NotImplemented
-        return (self.field == other.field and self.target == other.target
-                and self.img_x == other.img_x and self.img_y == other.img_y)
-
-    __hash__ = None
 
     def __str__(self):
         return "(%s; %s)" % (self.img_x, self.img_y)
@@ -320,7 +322,7 @@ def generator_images(gen: Generator, field: FieldSpec, target: str) -> AutImages
         images = (y, -x)
     elif isinstance(gen, GenT):
         images = (x.scale(gen.mu), y.scale(gen.mu.inv()))
-    elif isinstance(gen, GenGamma) and target == Z:
+    elif isinstance(gen, GenGamma):
         images = (x.scale(gen.mu), y)
     elif isinstance(gen, GenPhi):
         f = gen.payload
@@ -329,12 +331,8 @@ def generator_images(gen: Generator, field: FieldSpec, target: str) -> AutImages
         else:
             lift = WeylElement.from_unipoly(f)
         images = (x, y + lift)
-    elif isinstance(gen, GenAffine):
-        images = affine_forms((x, y), gen.matrix, gen.translation)
-    elif target == Z:
-        raise ValueError("unknown generator %r" % (gen,))
     else:
-        raise ValueError("generator %r is not defined on A_1" % (gen,))
+        images = affine_forms((x, y), gen.matrix, gen.translation)
     return AutImages(field, target, *images, validate=False)
 
 
@@ -392,12 +390,10 @@ def invert_word(word: AutWord) -> AutWord:
             out.append(GenGamma(gen.mu.inv()))
         elif isinstance(gen, GenPhi):
             out.append(GenPhi(-gen.payload))
-        elif isinstance(gen, GenAffine):
+        else:
             inv = _inv2(gen.matrix)
             (t0,), (t1,) = mat_mul(inv, tuple(zip(gen.translation)))
             out.append(GenAffine(inv, (-t0, -t1)))
-        else:
-            raise ValueError("unknown generator %r" % (gen,))
     return AutWord(word.field, word.target, out)
 
 

@@ -291,13 +291,12 @@ class FieldSpec:
         return self._elts[self._pack(coeffs)]
 
     def coerce(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.spec is not self and value.spec != self:
-                raise ValueError("field mismatch: %s vs %s" % (self, value.spec))
-            return value
-        if isinstance(value, int):
-            return self.from_int(value)
-        raise TypeError("cannot coerce %r into %s" % (value, self))
+        """``value``, an element of this field or an int, as an element of
+        this field; TypeError for anything else."""
+        elt = self._elts[0]._coerce(value)
+        if elt is None:
+            raise TypeError("cannot coerce %r into %s" % (value, self))
+        return elt
 
     def elements(self) -> Iterator[FieldElement]:
         return iter(self._elts)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 
 from .autgrp import (A1, AutImages, AutWord, GenGamma, GenPhi, GenS, GenT,
-                     realize)
+                     _payload_var, realize)
 from .gfq import FieldElement, FieldSpec, UsageError
 from .poly import BiPoly, PolyRing, UniPoly
 from .weyl import WeylElement
@@ -287,7 +287,7 @@ _WORD_GEN = re.compile(r"\s*([A-Za-z]+)")
 
 def parse_word(text: str, spec: FieldSpec, target: str) -> AutWord:
     """Sequence of generators: s | t[..] | gamma[..] | phi[..]."""
-    var = "x" if target == A1 else "X"
+    var = _payload_var(target)
     gens = []
     pos = 0
     while pos < len(text):

@@ -59,10 +59,8 @@ def res(a: AutImages) -> ResResult:
 
 
 def a1_affine_images(field: FieldSpec, matrix, translation) -> AutImages:
-    """The affine A_1 automorphism (x, d) -> A (x, d)^T + a; det A must be 1."""
-    (a, b), (c, d) = matrix
-    if a * d - b * c != field.one():
-        raise ValueError("affine matrices on A_1 must have determinant 1")
+    """The affine A_1 automorphism (x, d) -> A (x, d)^T + a; det A must be 1,
+    as validation checks: [d', x'] = det A."""
     return generator_images(GenAffine(matrix, translation), field,
                             A1).validate()
 
@@ -139,6 +137,11 @@ def is_symplectic(matrix, field: FieldSpec) -> bool:
     return mat_mul(mat_mul(tuple(zip(*matrix)), form), matrix) == form
 
 
+def _require_symplectic(matrix, field: FieldSpec) -> None:
+    if not is_symplectic(matrix, field):
+        raise ValueError("matrix is not symplectic for the commutator form")
+
+
 def res_n_affine(field: FieldSpec, matrix, translation):
     """Closed form of the restriction of an affine A_n automorphism
     x_i -> sum_j A_ij x_j + a_i (A symplectic): entrywise p-th powers, and
@@ -146,8 +149,7 @@ def res_n_affine(field: FieldSpec, matrix, translation):
     Returns the (matrix, translation) pair of the affine centre automorphism."""
     matrix = tuple(tuple(row) for row in matrix)
     translation = tuple(translation)
-    if not is_symplectic(matrix, field):
-        raise ValueError("matrix is not symplectic for the commutator form")
+    _require_symplectic(matrix, field)
     _check_affine(matrix, translation, len(matrix))
     p = field.p
     size = len(matrix)
@@ -167,14 +169,16 @@ def res_n_affine(field: FieldSpec, matrix, translation):
 
 
 def res_n_affine_bruteforce(field: FieldSpec, matrix, translation):
-    """The same restriction computed honestly: build each affine image in
-    A_n, take its p-th power, read it in the centre generators X_j = x_j^p
-    (which checks that it is central) and check that it is affine there,
-    then read off the coefficient rows."""
+    """The same restriction computed honestly, for the symplectic matrices
+    that res_n_affine accepts: build each affine image in A_n, take its
+    p-th power, read it in the centre generators X_j = x_j^p (which checks
+    that it is central) and check that it is affine there, then read off
+    the coefficient rows."""
     matrix = tuple(tuple(row) for row in matrix)
     size = len(matrix)
     if size not in (2, 4):
         raise ValueError("only A_1 and A_2 are supported")
+    _require_symplectic(matrix, field)
     zero = field.zero()
     origin = (0,) * size
     units = [tuple(int(i == j) for j in range(size)) for i in range(size)]

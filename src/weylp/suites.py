@@ -10,7 +10,7 @@ acceptance tests are both built on these.
 from __future__ import annotations
 
 from .autgrp import (A1, Z, AutWord, GenGamma, GenPhi, GenS, GenT, Record,
-                     in_gamma, mat_mul, realize)
+                     _payload_var, in_gamma, mat_mul, realize)
 from .gfq import FieldSpec, UsageError
 from .poly import BiPoly, PolyRing, UniPoly
 from .resmap import (a1_affine_images, is_symplectic, res, res_affine,
@@ -74,7 +74,7 @@ def random_xpoly2(rng, spec: FieldSpec, max_deg: int) -> BiPoly:
 
 def random_word(rng, spec: FieldSpec, target: str, max_len: int = 6,
                 max_payload_deg: int = 4) -> AutWord:
-    var = "x" if target == A1 else "X"
+    var = _payload_var(target)
     gens = []
     for _ in range(rng.randint(1, max_len)):
         kind = rng.randrange(4)

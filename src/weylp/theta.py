@@ -168,15 +168,13 @@ def theta_inverse(g: UniPoly) -> UniPoly:
     mu = xp_components(g)
     s = delta_geometric(mu[p - 1])
     nu = xp_components(s.inv_frobenius())  # pi_i F^{-1}(S), i < p
-    out = UniPoly.zero(g.ring, g.var)
+    # sum lambda_i x^i as in the module docstring, lambda_{p-1} x^{p-1}
+    # added term by term
+    out = (s - mu[p - 1]).shift(p * p - 1)
     for i in range(p - 1):
         lam = mu[i].inv_frobenius() + nu[i].inv_frobenius()
-        out = out + lam.shift(i)
-    lam_top = UniPoly.zero(g.ring, g.var)
-    for i in range(p - 1):
-        lam_top = lam_top + nu[i].shift(p * i)
-    lam_top = lam_top + (s - mu[p - 1]).shift(p * (p - 1))
-    return out + lam_top.shift(p - 1)
+        out = out + lam.shift(i) + nu[i].shift(p * i + p - 1)
+    return out
 
 
 def theta_inverse_oracle(g: UniPoly) -> UniPoly:
@@ -191,9 +189,6 @@ def theta_inverse_oracle(g: UniPoly) -> UniPoly:
     out = UniPoly.zero(g.ring, g.var)
     while not rest.is_zero():
         e, c = rest.leading_term()
-        if e % p:
-            raise ValueError("argument: exponent %d is not divisible by %d"
-                             % (e, p))
         mono = UniPoly.monomial(g.ring, e // p, c.inv_frobenius(), g.var)
         out = out + mono
         rest = rest - theta(mono)

@@ -49,7 +49,7 @@ reader, WeylElement._center_coeffs (the centrality check, then exponent
 division), behind to_center on A_1 and resmap's affine brute force on A_2.
 The module also hosts the brute-force checks of the p-th power identity
 (d + f)^p = d^p + f^{(p-1)} + f^p, in A_1 over fields and over K[t], and its
-two-variable analogue in A_2.
+two-variable analogue in A_2, both through one test, _pth_power_holds.
 """
 
 from __future__ import annotations
@@ -102,26 +102,23 @@ class WeylElement(_Sparse):
 
     @classmethod
     def x_gen(cls, ring, axis: int = 0, n: int = 1) -> "WeylElement":
-        key = [0] * (2 * n)
-        key[axis] = 1
-        return cls(ring, {tuple(key): ring.one()}, n)
+        return cls._generators(ring, n)[axis]
 
     @classmethod
     def d_gen(cls, ring, axis: int = 0, n: int = 1) -> "WeylElement":
-        key = [0] * (2 * n)
-        key[n + axis] = 1
-        return cls(ring, {tuple(key): ring.one()}, n)
+        return cls._generators(ring, n)[n + axis]
 
     @classmethod
     def _generators(cls, ring, n: int = 1) -> tuple:
-        """x_1..x_n, d_1..d_n: the generators in key-slot order, built once
-        per ring object and rank (no element is changed in place, so every
-        caller can share them)."""
+        """x_1..x_n, d_1..d_n: the generators in key-slot order, the unit
+        keys, built once per ring object and rank (no element is changed in
+        place, so every caller can share them)."""
         gens = _GENERATORS.get((ring, n))
         if gens is None or gens[0].ring is not ring:
-            gens = _GENERATORS[ring, n] = (
-                tuple(cls.x_gen(ring, a, n) for a in range(n))
-                + tuple(cls.d_gen(ring, a, n) for a in range(n)))
+            one, size = ring.one(), 2 * n
+            gens = _GENERATORS[ring, n] = tuple(
+                cls(ring, {tuple(int(s == slot) for s in range(size)): one}, n)
+                for slot in range(size))
         return gens
 
     @classmethod
@@ -370,8 +367,6 @@ class _RowLayout:
         """Element indices of the x-slots of a reduced row, lowest first."""
         xb = self.xb
         data = row.to_bytes(-(-row.bit_length() // (8 * xb)) * xb, "little")
-        if self.n == 1:
-            return data[::xb]
         # a coordinate is below p, so it is the low byte of its sub-slot
         p, sb = self.p, self.sb
         cols = [data[c * sb::xb] for c in range(self.n)]
@@ -500,21 +495,24 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
     return result
 
 
+def _pth_power_holds(d: WeylElement, lift, f, der) -> bool:
+    """(d + lift(f))^p == d^p + lift(der) + lift(f^p) in the Weyl algebra of
+    the generator d, with ``lift`` embedding f's polynomials into it."""
+    p = f.ring.characteristic
+    return (d + lift(f)) ** p == d ** p + lift(der) + lift(f ** p)
+
+
 def verify_pth_power_identity(f: UniPoly) -> bool:
     """Brute-force check in A_1 that (d + f)^p = d^p + f^{(p-1)} + f^p, and
     that f^{(p-1)} = -a_{p-1}(x^p), where a_{p-1} is the top component of
     the base-p splitting of f, so that the right side is also
     d^p - a_{p-1}(x^p) + f^p.  Works over any coefficient ring of
     characteristic p (field or K[t])."""
-    ring = f.ring
-    p = ring.characteristic
-    d = WeylElement.d_gen(ring)
-    lhs = (d + WeylElement.from_unipoly(f)) ** p
+    p = f.ring.characteristic
     der = f.derivative(p - 1)
-    rhs = (d ** p + WeylElement.from_unipoly(der)
-           + WeylElement.from_unipoly(f ** p))
-    top = f.p_decompose()[p - 1].expand_inner(f.var)
-    return lhs == rhs and der == -top
+    return (_pth_power_holds(WeylElement.d_gen(f.ring),
+                             WeylElement.from_unipoly, f, der)
+            and der == -f.p_decompose()[p - 1].expand_inner(f.var))
 
 
 def verify_pth_power_identity_2vars(f: BiPoly, axis: int) -> bool:
@@ -522,10 +520,6 @@ def verify_pth_power_identity_2vars(f: BiPoly, axis: int) -> bool:
     polynomial in the two commuting x-generators."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    ring = f.ring
-    p = ring.characteristic
-    d = WeylElement.d_gen(ring, axis, n=2)
-    lhs = (d + WeylElement.from_xpoly2(f)) ** p
-    rhs = (d ** p + WeylElement.from_xpoly2(f.derivative(axis, p - 1))
-           + WeylElement.from_xpoly2(f ** p))
-    return lhs == rhs
+    return _pth_power_holds(WeylElement.d_gen(f.ring, axis, n=2),
+                            WeylElement.from_xpoly2, f,
+                            f.derivative(axis, f.ring.characteristic - 1))

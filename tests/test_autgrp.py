@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -393,3 +395,84 @@ class TestGeneratorRecords:
             "GenPhi(payload=UniPoly(x^2+g))")
         assert repr(GenAffine(((one, g), (zero, one)), (g, zero))) == (
             "GenAffine(matrix=((1, g), (0, 1)), translation=(g, 0))")
+
+
+class TestWordPayloads:
+    """A word refuses scaling payloads and affine entries that are not
+    elements of its field, naming the generator."""
+
+    def test_int_scaling_payload(self):
+        with pytest.raises(ValueError, match="GenT"):
+            AutWord(F3, Z, [GenT(2)])
+
+    def test_int_affine_entries(self):
+        with pytest.raises(ValueError, match="GenAffine"):
+            AutWord(F3, Z, [GenAffine(((1, 0), (0, 1)), (0, 0))])
+
+    def test_scaling_payload_from_another_field(self):
+        with pytest.raises(ValueError, match="GenGamma"):
+            AutWord(F3, Z, [GenGamma(F5.from_int(2))])
+
+    def test_affine_entry_from_another_field(self):
+        one, zero = F3.one(), F3.zero()
+        with pytest.raises(ValueError, match="GenAffine"):
+            AutWord(F3, A1, [GenAffine(((one, zero), (zero, one)),
+                                       (zero, F5.one()))])
+
+
+class TestInvertAllGenerators:
+    """invert_word on every generator kind, affine maps included, over
+    F_49: the word times its inverse realizes the identity, both ways."""
+
+    F49 = FieldSpec(7, 2)
+
+    def check_inverse(self, word):
+        ident = identity_images(word.field, word.target)
+        img, back = realize(word), realize(invert_word(word))
+        assert compose(img, back) == ident
+        assert compose(back, img) == ident
+
+    def test_z_word(self):
+        F = self.F49
+        g, one, zero = F.gen(), F.one(), F.zero()
+        X = UniPoly.variable(F, "X")
+        affine = GenAffine(((g, one), (F.from_int(3), zero)), (one, g))
+        self.check_inverse(w(F, affine, GenPhi(X ** 2 + X.scale(g)), GenS(),
+                             GenT(g + one), GenGamma(g)))
+
+    def test_a1_word(self):
+        F = self.F49
+        g, one = F.gen(), F.one()
+        x = UniPoly.variable(F, "x")
+        affine = GenAffine(((g, one), (g * g - one, g)), (g, F.from_int(5)))
+        self.check_inverse(w(F, GenPhi(x ** 3), affine, GenS(), GenT(g),
+                             target=A1))
+
+
+class TestRecordCopies:
+    """Records survive copy.copy, copy.deepcopy and a pickle round trip as
+    equal records; an unvalidated endomorphism is not validated again."""
+
+    F9 = FieldSpec(3, 2)
+
+    def records(self):
+        from weylp.resmap import res
+        from weylp.suites import SuiteReport
+        F = self.F9
+        g, one, zero = F.gen(), F.one(), F.zero()
+        x = UniPoly.variable(F, "x")
+        word = w(F, GenT(g), GenPhi(x ** 2), target=A1)
+        X, Y = BiPoly.gens(F3)
+        return [GenT(g), GenPhi(x + x ** 4),
+                GenAffine(((one, g), (zero, one)), (g, zero)),
+                res(realize(word)), SuiteReport("demo", 5, 3, ["x^2+1"]),
+                word, AutImages(F3, Z, X ** 2, Y, validate=False)]
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip(self, copier):
+        for record in self.records():
+            out = copier(record)
+            assert type(out) is type(record)
+            assert out == record

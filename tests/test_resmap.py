@@ -299,3 +299,21 @@ class TestResResultRecord:
             "jacobian_value=1, degree_in=2, degree_out=2)")
         assert ResResult(image=out.image, jacobian_value=F3.one(),
                          degree_in=2, degree_out=2) == out
+
+
+class TestBruteForceRefusesNonSymplectic:
+    """The affine brute force refuses the matrices the closed form
+    refuses."""
+
+    def test_singular_2x2(self):
+        for restrict in (res_n_affine, res_n_affine_bruteforce):
+            with pytest.raises(ValueError, match="not symplectic"):
+                restrict(F3, ((2, 0), (0, 0)), (0, 0))
+
+    def test_invertible_4x4(self):
+        # diag(2, 1, 1, 1) is invertible, but it scales [d_1, x_1] by 2
+        m = tuple(tuple(F3.from_int(2 if i == j == 0 else int(i == j))
+                        for j in range(4)) for i in range(4))
+        for restrict in (res_n_affine, res_n_affine_bruteforce):
+            with pytest.raises(ValueError, match="not symplectic"):
+                restrict(F3, m, (F3.zero(),) * 4)
