@@ -26,6 +26,7 @@ input, which raises ValueError).
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import attrgetter
 
 from .gfq import FieldElement, FieldSpec
@@ -197,10 +198,12 @@ class AutWord(Record):
                 if target == A1 and isinstance(gen, GenGamma):
                     raise ValueError("gamma is not an automorphism of A_1")
             elif isinstance(gen, GenPhi):
-                if gen.payload.var != var or gen.payload.ring != field:
+                f = gen.payload
+                if (not isinstance(f, UniPoly) or f.var != var
+                        or f.ring != field):
                     raise ValueError(
-                        "phi payload must be a polynomial in %s over %s"
-                        % (var, field))
+                        "%r needs a payload polynomial in %s over %s"
+                        % (gen, var, field))
             elif isinstance(gen, GenAffine):
                 _check_affine(gen.matrix, gen.translation, 2)
                 _require_elements(gen, field, (*gen.matrix[0], *gen.matrix[1],
@@ -347,11 +350,12 @@ def compose(a: AutImages, b: AutImages) -> AutImages:
 
 
 def realize(word: AutWord) -> AutImages:
-    """Images of a word, composed left to right."""
-    acc = identity_images(word.field, word.target)
-    for gen in word.gens:
-        acc = compose(acc, generator_images(gen, word.field, word.target))
-    return acc
+    """Images of a word, composed left to right from its first generator's
+    images; the identity's for the empty word."""
+    field, target = word.field, word.target
+    return reduce(compose, [generator_images(gen, field, target)
+                            for gen in word.gens]
+                  or [identity_images(field, target)])
 
 
 def apply_images(a: AutImages, z) -> object:

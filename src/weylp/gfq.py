@@ -334,8 +334,9 @@ class FieldCodec:
     coefficients of g^n .. g^{2n-2} through the modulus (FieldSpec._red),
     then every coordinate mod p.  FieldElement's sum, negation and product
     are one int operation on codes and one fold; inside a polynomial or Weyl
-    product, codes are added and multiplied as plain ints and decode() folds
-    once per product.  check_pairs() guards the stride.
+    product, codes (code(), or encode() for a whole map) are added and
+    multiplied as plain ints and decode() folds once per product, unpacking
+    the packed keys in the same pass.  check_pairs() guards the stride.
     """
 
     zero = 0
@@ -377,6 +378,9 @@ class FieldCodec:
             self.check_stride(pairs * scale * self.n * (p - 1) ** 2
                               * self._fold_growth)
 
+    def code(self, c: FieldElement) -> int:
+        return self._codes[c.val]
+
     def encode(self, coeffs: dict) -> dict:
         codes = self._codes
         return {k: codes[c.val] for k, c in coeffs.items()}
@@ -396,7 +400,13 @@ class FieldCodec:
             v = v * p + (r >> shift & _CODE_MASK) % p
         return v
 
-    def decode(self, acc: dict) -> dict:
-        """Codes to this field's own interned elements; zeros dropped."""
+    def decode(self, acc: dict, width: int = 0, arity: int = 1) -> dict:
+        """Codes to this field's own interned elements, zeros dropped, and
+        in the same pass keys packed at ``width`` bits per slot back to
+        tuples of ``arity`` exponents (arity 1: int keys kept)."""
         elts, value = self._elts, self.value
-        return {k: elts[v] for k, c in acc.items() if (v := value(c))}
+        if arity == 1:
+            return {k: elts[v] for k, c in acc.items() if (v := value(c))}
+        mask, shifts = (1 << width) - 1, [s * width for s in range(arity)]
+        return {tuple([k >> s & mask for s in shifts]): elts[v]
+                for k, c in acc.items() if (v := value(c))}

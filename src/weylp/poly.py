@@ -9,26 +9,37 @@ again), negation, scaling, powers, equality, the canonical printer and
 substitution through cached powers of the images.  A power takes its
 argument check and its k = 0, zero and constant cases from the base and
 then runs its class's chain, _power: square-and-multiply here,
-WeylElement's own chain in weyl.py.  Every product runs through one kernel, _mul_into, on int keys and int
-coefficient codes: tuple keys are packed into a single int for the duration
-of a product, at a bit width taken from the operands' largest exponents so
-that exponent sums never carry from one slot into the next, and coefficients
-are replaced by the codes of their ring's codec (residues for F_p,
-coordinates at a 64-bit stride for F_{p^n}, the elements themselves for
-K[t]).  The kernel only adds and multiplies codes; the codec reduces once per
-product and hands back the ring's own interned elements, zeros dropped, so
-the result is built without the constructor's filtering pass, and the keys
-are unpacked once at the end.  UniPoly and BiPoly hand the kernel their
-operands; WeylElement hands it the divided derivatives of its commutation
-rule (its powers over a field run on packed rows instead, in weyl.py).
+WeylElement's own chain in weyl.py.
+
+Every product runs through one kernel, _mul_into, on int keys and int
+coefficient codes, and each operand goes in and comes out in one pass.
+Going in, _coded packs each tuple key into a single int, at a bit width
+taken from the operands' largest exponents so that exponent sums never
+carry from one slot into the next, and in the same loop replaces its
+coefficient by its code under the ring's codec (codec.code: residues for
+F_p, coordinates at a 64-bit stride for F_{p^n}, the elements themselves
+for K[t]); UniPoly's int keys need no packing and go in through
+codec.encode.  The kernel only adds and multiplies codes.  Coming out,
+codec.decode reduces each code once, drops the zeros, hands back the
+ring's own interned elements and unpacks the key, all in one loop, so the
+result is built without the constructor's filtering pass.  UniPoly and
+BiPoly hand the kernel their operands; WeylElement hands it the divided
+derivatives of its commutation rule, taken on the packed keys and codes by
+_divided_derivative (its powers over a field run on packed rows instead,
+in weyl.py).  jacobian is one such coded pass too: P and Q are packed and
+coded once, the partials P_X, Q_Y, Q_X and P_Y times p - 1 (codes stay
+non-negative) are divided derivatives of order 1 of those, and the
+products P_X Q_Y and (p - 1) P_Y Q_X sum into one accumulator that is
+decoded once.
 
 Also here is the characteristic-p tooling everything above is built from:
-one derivative rule, _Sparse._lower, which lowers one key slot by k with a
-factor mod p per exponent and so gives UniPoly's k-th derivative (falling
-factorials) and divided power d^[k] = d^k/k! (Lucas binomials, exact even
-when k! vanishes mod p) as well as BiPoly's partial derivatives; the base-p
-splitting K[x] = sum K[x^p] x^i, leading terms, and Jacobians of polynomial
-pairs.
+the derivative rule on elements, _Sparse._lower, which lowers one key slot
+by k with a factor mod p per exponent and so gives UniPoly's k-th
+derivative (falling factorials) and divided power d^[k] = d^k/k! (Lucas
+binomials, exact even when k! vanishes mod p) as well as BiPoly's partial
+derivatives (inside a coded pass, _divided_derivative applies the same
+Lucas factors to packed keys); the base-p splitting K[x] = sum K[x^p] x^i
+and leading terms.
 
 The coefficient ring is either a FieldSpec (elements: FieldElement, codec:
 gfq.FieldCodec) or a PolyRing over one (elements: UniPoly in ``t``), the
@@ -38,7 +49,7 @@ is not a field.  Division is only ever asked of the field instance.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 from .gfq import FieldElement, FieldSpec
@@ -71,12 +82,12 @@ def falling_factorial_mod(m: int, k: int, p: int) -> int:
     return acc
 
 
-# -- the product kernel and its key packing -----------------------------
+# -- the product kernel and its coded operands --------------------------
 
 
 def _mul_into(acc: dict, a: dict, b: dict, zero=0) -> dict:
     """acc += a * b for maps from int keys that add under multiplication
-    (exponents, or exponent vectors packed by _pack) to coefficient codes
+    (exponents, or exponent vectors packed by _coded) to coefficient codes
     (gfq.FieldCodec, _PolyCodec).  The one loop over coefficient pairs;
     nothing is reduced here, the codec reduces once per product."""
     if len(a) > len(b):
@@ -90,37 +101,59 @@ def _mul_into(acc: dict, a: dict, b: dict, zero=0) -> dict:
     return acc
 
 
-def _coded_product(codec, a: dict, b: dict) -> dict:
-    """a * b for maps from int keys to ring elements, through the codes of
-    ``codec``; the result holds its own ring's elements, zeros dropped."""
-    codec.check_pairs(min(len(a), len(b)))
-    return codec.decode(_mul_into({}, codec.encode(a), codec.encode(b),
-                                  codec.zero))
-
-
 def _width(a: dict, b: dict) -> int:
     """Bits per slot for packing the tuple keys of a product of a and b:
-    enough for the sum of the largest exponents, so sums never carry."""
-    return (max(map(max, a)) + max(map(max, b))).bit_length()
+    enough for the sum of the largest exponents (0 for an empty map), so
+    sums never carry."""
+    return sum(max(map(max, m), default=0) for m in (a, b)).bit_length()
 
 
-def _pack(coeffs: dict, width: int) -> dict:
-    """Tuple keys as ints, slot s in bits s*width .. (s+1)*width - 1."""
+def _coded(codec, coeffs: dict, width: int) -> dict:
+    """A product operand in one pass: each tuple key packed into one int,
+    slot s in bits s*width .. (s+1)*width - 1 (the layout codec.decode reads
+    back), and each coefficient replaced by its code."""
+    code = codec.code
     out = {}
     for key, c in coeffs.items():
         packed = 0
         for e in reversed(key):
-            packed = (packed << width) | e
-        out[packed] = c
+            packed = packed << width | e
+        out[packed] = code(c)
     return out
 
 
-def _unpack(coeffs: dict, width: int, arity: int) -> dict:
-    """Inverse of _pack for keys with ``arity`` slots."""
+@lru_cache(maxsize=None)
+def _lucas_tables(p: int) -> tuple:
+    """binom(m, k) mod p for m, k < p, and k! mod p for k < p."""
+    binom = [[comb(m, k) % p for k in range(p)] for m in range(p)]
+    fact = [1] * p
+    for k in range(2, p):
+        fact[k] = fact[k - 1] * k % p
+    return binom, fact
+
+
+def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
+                        p: int, scalar: int) -> dict:
+    """``scalar`` times the divided partial derivative prod_s d^[k_s] of a
+    map with packed keys and coded coefficients (_coded); ``orders`` lists
+    (bit offset of slot s, k_s < p) for the slots with k_s > 0, and
+    binom(m, k_s) mod p is binom[m % p][k_s] (Lucas).  Terms whose factor
+    vanishes mod p drop out; the others keep distinct keys."""
+    if not orders and scalar == 1:
+        return coeffs
     mask = (1 << width) - 1
-    shifts = [s * width for s in range(arity)]
-    return {tuple((key >> s) & mask for s in shifts): c
-            for key, c in coeffs.items()}
+    out = {}
+    for key, c in coeffs.items():
+        f = scalar
+        for shift, k in orders:
+            f *= binom[((key >> shift) & mask) % p][k]
+            if not f:
+                break
+            key -= k << shift
+        else:
+            f %= p
+            out[key] = c * f if f != 1 else c
+    return out
 
 
 # -- the shared sparse base -----------------------------------------------
@@ -408,8 +441,10 @@ class UniPoly(_Sparse):
             isinstance(self.ring, PolyRing) and other.var == self.ring.var)
 
     def _product(self, other: "UniPoly") -> "UniPoly":
-        return self._from_nonzero(_coded_product(
-            self.ring.codec, self.coeffs, other.coeffs))
+        codec, a, b = self.ring.codec, self.coeffs, other.coeffs
+        codec.check_pairs(min(len(a), len(b)))
+        return self._from_nonzero(codec.decode(_mul_into(
+            {}, codec.encode(a), codec.encode(b), codec.zero)))
 
     # -- calculus and base-p structure ----------------------------------
 
@@ -514,11 +549,10 @@ class BiPoly(_Sparse):
 
     def _product(self, other: "BiPoly") -> "BiPoly":
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self._from_nonzero({})
-        w = _width(a, b)
-        return self._from_nonzero(_unpack(
-            _coded_product(self.ring.codec, _pack(a, w), _pack(b, w)), w, 2))
+        codec, w = self.ring.codec, _width(a, b)
+        codec.check_pairs(min(len(a), len(b)))
+        return self._from_nonzero(codec.decode(_mul_into(
+            {}, _coded(codec, a, w), _coded(codec, b, w), codec.zero), w, 2))
 
     def derivative(self, axis: int, k: int = 1) -> "BiPoly":
         """k-th formal partial derivative along axis 0 or 1."""
@@ -530,10 +564,25 @@ class BiPoly(_Sparse):
 
 
 def jacobian(P: BiPoly, Q: BiPoly) -> BiPoly:
-    """det of the matrix of formal partials: P_X Q_Y - P_Y Q_X."""
+    """det of the matrix of formal partials, P_X Q_Y - P_Y Q_X, in one coded
+    pass: P and Q packed and coded once, each partial a divided derivative
+    of order 1 on the packed keys (P_Y times p - 1, so that codes stay
+    non-negative), both products summed into one accumulator and decoded
+    once."""
     P._check_compatible(Q)
-    return (P.derivative(0) * Q.derivative(1)
-            - P.derivative(1) * Q.derivative(0))
+    codec, p = P.ring.codec, P.ring.characteristic
+    w = _width(P.coeffs, Q.coeffs)
+    binom, zero = _lucas_tables(p)[0], codec.zero
+    a, b = _coded(codec, P.coeffs, w), _coded(codec, Q.coeffs, w)
+
+    def partial(coeffs: dict, slot: int, sign: int = 1) -> dict:
+        return _divided_derivative(coeffs, [(slot * w, 1)], w, binom, p, sign)
+
+    # each partial multiplies an operand coordinate by at most p - 1
+    codec.check_pairs(2 * min(len(a), len(b)), (p - 1) ** 2)
+    acc = _mul_into({}, partial(a, 0), partial(b, 1), zero)
+    _mul_into(acc, partial(a, 1, p - 1), partial(b, 0), zero)
+    return P._from_nonzero(codec.decode(acc, w, 2))
 
 
 def p_recompose(parts: list[UniPoly], var: str = "x") -> UniPoly:
@@ -619,8 +668,17 @@ class _PolyCodec:
     def check_pairs(self, pairs: int, scale: int = 1) -> None:
         pass
 
+    def code(self, c: UniPoly) -> UniPoly:
+        return c
+
     def encode(self, coeffs: dict) -> dict:
         return coeffs
 
-    def decode(self, acc: dict) -> dict:
-        return {k: c for k, c in acc.items() if c.coeffs}
+    def decode(self, acc: dict, width: int = 0, arity: int = 1) -> dict:
+        """As gfq.FieldCodec.decode: zeros dropped, keys packed at ``width``
+        bits per slot unpacked into ``arity`` exponents (arity 1: kept)."""
+        if arity == 1:
+            return {k: c for k, c in acc.items() if c.coeffs}
+        mask, shifts = (1 << width) - 1, [s * width for s in range(arity)]
+        return {tuple([k >> s & mask for s in shifts]): c
+                for k, c in acc.items() if c.coeffs}

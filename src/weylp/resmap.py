@@ -146,9 +146,10 @@ def res_n_affine(field: FieldSpec, matrix, translation):
     """Closed form of the restriction of an affine A_n automorphism
     x_i -> sum_j A_ij x_j + a_i (A symplectic): entrywise p-th powers, and
     for p = 2 the translation picks up a_i^2 + sum_{j<=n} A_ij A_{i,n+j}.
-    Returns the (matrix, translation) pair of the affine centre automorphism."""
-    matrix = tuple(tuple(row) for row in matrix)
-    translation = tuple(translation)
+    Returns the (matrix, translation) pair of the affine centre automorphism;
+    int entries are read as elements of ``field``."""
+    matrix = tuple(tuple(map(field.coerce, row)) for row in matrix)
+    translation = tuple(map(field.coerce, translation))
     _require_symplectic(matrix, field)
     _check_affine(matrix, translation, len(matrix))
     p = field.p

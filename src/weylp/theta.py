@@ -169,11 +169,12 @@ def theta_inverse(g: UniPoly) -> UniPoly:
     s = delta_geometric(mu[p - 1])
     nu = xp_components(s.inv_frobenius())  # pi_i F^{-1}(S), i < p
     # sum lambda_i x^i as in the module docstring, lambda_{p-1} x^{p-1}
-    # added term by term
+    # added term by term; an i with mu_i = nu_i = 0 adds nothing
     out = (s - mu[p - 1]).shift(p * p - 1)
     for i in range(p - 1):
-        lam = mu[i].inv_frobenius() + nu[i].inv_frobenius()
-        out = out + lam.shift(i) + nu[i].shift(p * i + p - 1)
+        if mu[i].coeffs or nu[i].coeffs:
+            lam = mu[i].inv_frobenius() + nu[i].inv_frobenius()
+            out = out + lam.shift(i) + nu[i].shift(p * i + p - 1)
     return out
 
 

@@ -10,13 +10,14 @@ computed through the closed commutation rule
 
 evaluated in aggregate as  A*B = sum_{k < p} k! * (d/d_xi)^[k]A * (d/dx)^[k]B
 over commutative normal symbols (binom(j,k)*binom(i,k)*k! equals the falling
-factorial form, and k! kills every k >= p).  Both operands are packed once
-into int keys (poly._pack) and their coefficients replaced by the int codes
-of the ring's codec; each k takes divided derivatives on the packed keys,
-with binom(m, k) mod p = binom(m mod p, k) from a p x p table kept per p
-(k < p), scales the codes by k! and hands the pair to the shared product
-kernel poly._mul_into.  Every k accumulates into one map of unreduced codes,
-which the codec reduces once and which is unpacked at the end.  The
+factorial form, and k! kills every k >= p).  Both operands go in once,
+their keys packed into ints and their coefficients coded by the ring's
+codec in one pass (poly._coded); each k takes divided derivatives on the
+packed keys (poly._divided_derivative), with binom(m, k) mod p =
+binom(m mod p, k) from a p x p table kept per p (k < p), scales the codes
+by k! and hands the pair to the shared product kernel poly._mul_into.
+Every k accumulates into one map of unreduced codes, which the codec
+reduces and unpacks in one pass at the end.  The
 product and the commutator [a, b] are one routine, WeylElement._coded_pass,
 and differ only in the orders they run: the order-0 terms of a*b and b*a
 are the same commutative product and cancel, so a commutator runs the
@@ -56,9 +57,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as _iterproduct
-from math import comb
 
-from .poly import BiPoly, UniPoly, _mul_into, _pack, _Sparse, _unpack
+from .poly import (BiPoly, UniPoly, _coded, _divided_derivative, _lucas_tables,
+                   _mul_into, _Sparse)
 
 
 # (ring, n) -> WeylElement._generators(ring, n), for the last ring object
@@ -164,7 +165,9 @@ class WeylElement(_Sparse):
         if not a or not b:
             return self._from_nonzero({})
         codec, p, n = self.ring.codec, self.ring.characteristic, self.n
-        w, a, b, ta, tb = _coded_operands(codec, a, b)
+        ta, tb = list(map(max, zip(*a))), list(map(max, zip(*b)))
+        w = (max(ta) + max(tb)).bit_length()
+        a, b = _coded(codec, a, w), _coded(codec, b, w)
         ab = _weyl_orders(p, n, ta, tb)[first:]
         ba = _weyl_orders(p, n, tb, ta)[1:] if first else []
         codec.check_pairs((len(ab) + len(ba)) * min(len(a), len(b)),
@@ -172,7 +175,7 @@ class WeylElement(_Sparse):
         acc = _weyl_mul(codec, p, n, a, b, w, ab)
         if first:
             acc = _weyl_mul(codec, p, n, b, a, w, ba, acc, p - 1)
-        return self._from_nonzero(_unpack(codec.decode(acc), w, 2 * n))
+        return self._from_nonzero(codec.decode(acc, w, 2 * n))
 
     def _power(self, k: int) -> "WeylElement":
         # repeated multiplication, not the base's square-and-multiply: a
@@ -228,26 +231,6 @@ class WeylElement(_Sparse):
         return self._substitute(images)
 
 
-@lru_cache(maxsize=None)
-def _lucas_tables(p: int) -> tuple:
-    """binom(m, k) mod p for m, k < p, and k! mod p for k < p."""
-    binom = [[comb(m, k) % p for k in range(p)] for m in range(p)]
-    fact = [1] * p
-    for k in range(2, p):
-        fact[k] = fact[k - 1] * k % p
-    return binom, fact
-
-
-def _coded_operands(codec, a: dict, b: dict) -> tuple:
-    """(w, A, B, top_a, top_b) for a product of the nonzero A_n elements
-    with coefficients a and b: A and B are their keys packed at the slot
-    width w that no exponent sum overflows and their coefficients coded by
-    ``codec``; top_a and top_b hold the largest exponent in each key slot."""
-    ta, tb = list(map(max, zip(*a))), list(map(max, zip(*b)))
-    w = (max(ta) + max(tb)).bit_length()
-    return w, codec.encode(_pack(a, w)), codec.encode(_pack(b, w)), ta, tb
-
-
 def _weyl_orders(p: int, n: int, ta: list, tb: list) -> list:
     """The orders k (one per axis, each below p) of the commutation rule
     that can contribute to a * b, for A_n elements whose largest exponents
@@ -282,30 +265,6 @@ def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int, ks: list,
         if A:
             _mul_into(acc, A, B, zero)
     return acc
-
-
-def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
-                        p: int, scalar: int) -> dict:
-    """``scalar`` times the divided partial derivative prod_s d^[k_s] of a
-    normal symbol with packed keys and coded coefficients; ``orders`` lists
-    (bit offset of slot s, k_s < p) for the slots with k_s > 0, and
-    binom(m, k_s) mod p is binom[m % p][k_s] (Lucas).  Terms whose factor
-    vanishes mod p drop out; the others keep distinct keys."""
-    if not orders and scalar == 1:
-        return coeffs
-    mask = (1 << width) - 1
-    out = {}
-    for key, c in coeffs.items():
-        f = scalar
-        for shift, k in orders:
-            f *= binom[((key >> shift) & mask) % p][k]
-            if not f:
-                break
-            key -= k << shift
-        else:
-            f %= p
-            out[key] = c * f if f != 1 else c
-    return out
 
 
 class _RowLayout:

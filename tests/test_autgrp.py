@@ -476,3 +476,64 @@ class TestRecordCopies:
             out = copier(record)
             assert type(out) is type(record)
             assert out == record
+
+
+class TestPhiPayloadType:
+    """A phi payload that is not a polynomial is refused with a ValueError
+    that names the generator."""
+
+    def test_int_payload(self):
+        with pytest.raises(ValueError, match="GenPhi"):
+            AutWord(F3, Z, [GenPhi(3)])
+
+    def test_two_variable_payload(self):
+        with pytest.raises(ValueError, match="GenPhi"):
+            AutWord(F3, A1, [GenPhi(BiPoly.gens(F3)[0])])
+
+
+class TestRealizeFold:
+    """realize starts from the first generator's images: the same images
+    as the left fold of compose from the identity, one compose fewer."""
+
+    @pytest.mark.parametrize("target", [A1, Z])
+    def test_empty_word_is_identity(self, target):
+        for spec in (F2, F4):
+            assert realize(w(spec, target=target)) == \
+                identity_images(spec, target)
+
+    @pytest.mark.parametrize("target", [A1, Z])
+    def test_one_generator(self, target):
+        from weylp.autgrp import generator_images
+        one, g = F4.one(), F4.gen()
+        gens = [GenS(), GenT(g), GenPhi(UniPoly(F4, {0: g, 2: one},
+                                               "x" if target == A1 else "X")),
+                GenAffine(((one, g), (F4.zero(), one)), (g, one))]
+        if target == Z:
+            gens.append(GenGamma(g))
+        for gen in gens:
+            assert realize(w(F4, gen, target=target)) == \
+                generator_images(gen, F4, target)
+
+    @pytest.mark.parametrize("target", [A1, Z])
+    def test_random_words_match_left_fold(self, target, monkeypatch):
+        import weylp.autgrp as autgrp
+        rng = random.Random(21)
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return compose(a, b)
+
+        for spec in (F2, F3, F4):
+            for _ in range(10):
+                word = random_word(rng, spec, target, max_len=4,
+                                   max_payload_deg=2)
+                expected = identity_images(spec, target)
+                for gen in word.gens:
+                    expected = compose(expected, autgrp.generator_images(
+                        gen, spec, target))
+                monkeypatch.setattr(autgrp, "compose", counted)
+                del calls[:]
+                assert realize(word) == expected
+                assert len(calls) == max(len(word) - 1, 0)
+                monkeypatch.undo()

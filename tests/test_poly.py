@@ -314,3 +314,63 @@ class TestPrinting:
         f = Y + X + X ** 2 + BiPoly.one(F3)
         assert str(f) == "X^2+X+Y+1"
         assert str(X * Y * 2) == "2*X*Y"
+
+
+def jacobian_by_products(P, Q):
+    """The Jacobian from its definition: four partials, two products."""
+    return P.derivative(0) * Q.derivative(1) - P.derivative(1) * Q.derivative(0)
+
+
+def all_top_bipoly(spec, keys):
+    """Every coordinate at p - 1 on every key."""
+    top = spec.element([spec.p - 1] * spec.n)
+    return BiPoly(spec, {key: top for key in keys})
+
+
+class TestJacobianOnePass:
+    """jacobian runs in one coded pass; it must equal the Jacobian built
+    from partial derivatives and two products."""
+
+    RINGS = [F2, F4, FieldSpec(13, 2), FieldSpec(7, 3), PolyRing(F3)]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_matches_products_of_partials(self, ring):
+        rng = random.Random(14)
+        zero, one = BiPoly.zero(ring), BiPoly.one(ring)
+        c = BiPoly.constant(ring, ring.random_element(rng))
+        X, Y = BiPoly.gens(ring)
+        special = [zero, one, c, X, Y, X ** ring.characteristic]
+        for P in special:
+            for Q in special:
+                assert jacobian(P, Q) == jacobian_by_products(P, Q)
+        for _ in range(25):
+            P = BiPoly(ring, {(rng.randint(0, 4), rng.randint(0, 4)):
+                              ring.random_element(rng) for _ in range(5)})
+            Q = BiPoly(ring, {(rng.randint(0, 4), rng.randint(0, 4)):
+                              ring.random_element(rng) for _ in range(5)})
+            assert jacobian(P, Q) == jacobian_by_products(P, Q)
+            assert jacobian(P, c) == jacobian(c, P) == zero
+
+    def test_stride_guard_counts_both_products(self, monkeypatch):
+        # P_X Q_Y and P_Y Q_X each land at most min(|P|, |Q|) pairs on one
+        # key, every operand coordinate times at most p - 1
+        spec = FieldSpec(13, 2)
+        P = all_top_bipoly(spec, [(1, 1), (2, 0), (0, 3)])
+        Q = all_top_bipoly(spec, [(1, 2), (3, 1), (2, 2), (0, 1), (1, 0)])
+        guarded = []
+        monkeypatch.setattr(spec.codec, "check_pairs",
+                            lambda *args: guarded.append(args))
+        jacobian(P, Q)
+        assert guarded == [(6, 12 ** 2)]
+
+    @pytest.mark.parametrize("spec", [FieldSpec(13, 4), FieldSpec(7, 3)],
+                             ids=str)
+    def test_all_top_homogeneous_forms(self, spec):
+        # every term of degree 6, every coordinate at p - 1: each output key
+        # of degree 10 collects several pairs from both products
+        P = all_top_bipoly(spec, [(i, 6 - i) for i in range(7)])
+        Q = all_top_bipoly(spec, [(i, 6 - i) for i in range(0, 7, 2)])
+        J = jacobian(P, Q)
+        assert J == jacobian_by_products(P, Q)
+        assert all(sum(key) == 10 for key in J.coeffs)
+        assert jacobian(P, P).is_zero()

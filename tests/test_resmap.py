@@ -8,6 +8,7 @@ from weylp import (A1, Z, AutImages, AutWord, BiPoly, FieldSpec, GenGamma,
                    realize, res, res_affine, res_inverse, res_n_affine,
                    res_n_affine_bruteforce, res_phi, symplectic_form,
                    z_affine_images)
+from weylp.gfq import FieldElement
 from weylp.suites import (random_sl2, random_symplectic4, random_word)
 
 F2 = FieldSpec(2)
@@ -317,3 +318,23 @@ class TestBruteForceRefusesNonSymplectic:
         for restrict in (res_n_affine, res_n_affine_bruteforce):
             with pytest.raises(ValueError, match="not symplectic"):
                 restrict(F3, m, (F3.zero(),) * 4)
+
+
+class TestAffineClosedFormOnInts:
+    """res_n_affine reads int entries as field elements, as the brute
+    force does, and returns elements of the field."""
+
+    @pytest.mark.parametrize("spec,matrix,translation", [
+        (F3, ((2, 0), (0, 2)), (1, 0)),
+        (F2, ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+         (1, 0, 1, 1)),
+        (F5, ((3, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1)),
+         (7, 0, 4, 1)),
+    ])
+    def test_matches_bruteforce_on_int_input(self, spec, matrix,
+                                             translation):
+        closed = res_n_affine(spec, matrix, translation)
+        assert closed == res_n_affine_bruteforce(spec, matrix, translation)
+        mat_p, tr_p = closed
+        for c in (*(c for row in mat_p for c in row), *tr_p):
+            assert isinstance(c, FieldElement) and c.spec == spec

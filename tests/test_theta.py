@@ -187,3 +187,19 @@ class TestThetaInverse:
             theta_inverse(g)
         with pytest.raises(ValueError):
             theta_inverse_oracle(g)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(13), FieldSpec(13, 2)], ids=str)
+def test_theta_inverse_with_one_nonzero_component(spec):
+    # g = sum mu_i x^{pi}: every other mu_i is zero, the case theta_inverse
+    # skips component by component
+    rng = random.Random(13)
+    p = spec.p
+    for i in range(p):
+        for top in range(3):
+            g = UniPoly(spec, {p * i + p * p * m: spec.random_nonzero(rng)
+                               for m in range(top + 1)}, "x")
+            assert sum(not mu.is_zero() for mu in xp_components(g)) == 1
+            f = theta_inverse(g)
+            assert theta(f) == g
+            assert f == theta_inverse_oracle(g)
