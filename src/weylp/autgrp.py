@@ -231,15 +231,30 @@ class AutWord(Record):
 # image pairs
 
 
-class AutImages(Record):
+class _JacobianSlot:
+    """The slot where AutImages keeps its jacobian once computed, outside
+    AutImages.__slots__, so that equality, printing, copies and pickles,
+    which read those fields only, never see it."""
+
+    __slots__ = ("_jacobian",)
+
+
+class AutImages(Record, _JacobianSlot):
     """An automorphism (or, when validate=False, a mere endomorphism) given
     by the images of the two algebra generators: BiPoly pair on Z, Weyl
-    element pair on A_1."""
+    element pair on A_1.  On Z the jacobian is computed on first use and
+    kept with the images it was computed from: validate, jacobian() and
+    in_gamma all read it, and a pair whose images are reassigned computes
+    it again."""
 
     __slots__ = ("field", "target", "img_x", "img_y")
-    # copies and pickles restore the slots as they are: an endomorphism
-    # built with validate=False is not validated again
+    # copies and pickles restore the four fields as they are: an
+    # endomorphism built with validate=False is not validated again, and
+    # a kept jacobian is not carried over
     __reduce__ = object.__reduce__
+
+    def __getstate__(self):
+        return None, {name: getattr(self, name) for name in self.__slots__}
 
     def __init__(self, field: FieldSpec, target: str, img_x, img_y,
                  validate: bool = True):
@@ -262,7 +277,7 @@ class AutImages(Record):
         """For Z: the jacobian is a nonzero constant; for A_1: the images
         preserve the defining relation [d, x] = 1."""
         if self.target == Z:
-            jac = jacobian(self.img_x, self.img_y)
+            jac = self.jacobian()
             if set(jac.coeffs) - {(0, 0)} or jac.is_zero():
                 raise NotAnAutomorphismError(
                     "jacobian %s is not a nonzero constant" % jac)
@@ -276,7 +291,11 @@ class AutImages(Record):
     def jacobian(self) -> BiPoly:
         if self.target != Z:
             raise ValueError("jacobian is defined on Z images")
-        return jacobian(self.img_x, self.img_y)
+        P, Q = self.img_x, self.img_y
+        kept = getattr(self, "_jacobian", (None, None))
+        if kept[0] is not P or kept[1] is not Q:
+            kept = self._jacobian = (P, Q, jacobian(P, Q))
+        return kept[2]
 
     @property
     def degree(self) -> int:
@@ -458,17 +477,16 @@ def normalize_word(word: AutWord) -> AutWord:
 # tame decomposition
 
 
-def _leading_scalar(lf_big: BiPoly, lf_small_pow: BiPoly):
-    """Scalar c with lf_big = c * lf_small_pow, or None."""
-    key = next(iter(lf_small_pow.coeffs))
-    base = lf_small_pow.coeffs[key]
-    c = lf_big.coeffs.get(key)
-    if c is None:
+def _leading_scalar(big: BiPoly, small: BiPoly, degree: int):
+    """Scalar c with lf(big) = c * lf(small), where both polynomials have
+    total degree ``degree``, or None."""
+    lf_big, lf_small = ({k: c for k, c in f.coeffs.items() if sum(k) == degree}
+                        for f in (big, small))
+    key = next(iter(lf_small))
+    if key not in lf_big:
         return None
-    c = c * base.inv()
-    if lf_big == lf_small_pow.scale(c):
-        return c
-    return None
+    c = lf_big[key] * lf_small[key].inv()
+    return c if lf_big == {k: v * c for k, v in lf_small.items()} else None
 
 
 def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
@@ -521,32 +539,35 @@ def decompose(a: AutImages) -> AutWord:
     a.validate()
     field = a.field
     P, Q = a.img_x, a.img_y
+    # the image degrees, carried across the steps: a step changes only Q's
+    dp, dq = P.degree, Q.degree
     tail: list = []
     while True:
-        dp, dq = P.degree, Q.degree
         if dp < 1 or dq < 1:
             raise NotAnAutomorphismError("image is constant")
         if max(dp, dq) <= 1:
             break
         if dp >= dq:
             # peel s: sigma = sigma' o s, images of sigma' are (-Q, P)
-            P, Q, dp = -Q, P, dq
+            P, Q, dp, dq = -Q, P, dq, dp
             tail.insert(0, GenS())
-        # reduce Q using powers of P's leading form
+        # reduce Q by multiples of powers of P; K[X, Y] is a domain, so
+        # the leading form of P^m is lf(P)^m
         payload = UniPoly.zero(field, "X")
-        while Q.degree >= dp and max(dp, Q.degree) > 1:
-            dq = Q.degree
+        while dq >= dp and max(dp, dq) > 1:
             m, rem = divmod(int(dq), int(dp))
             if rem:
                 raise NotAnAutomorphismError(
                     "degree reduction stalled: %d does not divide %d"
                     % (int(dp), int(dq)))
-            c = _leading_scalar(Q.leading_form(), P.leading_form() ** m)
+            pm = P ** m
+            c = _leading_scalar(Q, pm, dq)
             if c is None:
                 raise NotAnAutomorphismError(
                     "degree reduction stalled: leading forms do not cancel")
             payload = payload + UniPoly.monomial(field, m, c, "X")
-            Q = Q - (P ** m).scale(c)
+            Q = Q - pm.scale(c)
+            dq = Q.degree
         if payload.is_zero():
             raise NotAnAutomorphismError(
                 "degree reduction stalled: no progress")

@@ -20,7 +20,9 @@ digits raise ParseError before anything is computed.  Error positions index
 the whole argument, payloads and field moduli included.
 
 Word literals are generator names in sequence: ``s``, ``t[<field element>]``,
-``gamma[<field element>]``, ``phi[<poly>]``.  Image pairs are
+``gamma[<field element>]``, ``phi[<poly>]`` and
+``affine[<a>,<b>,<c>,<d>;<e>,<f>]`` (field elements: the matrix rows
+(a, b), (c, d), then the translation (e, f)).  Image pairs are
 ``(<expr> ; <expr>)``.
 """
 
@@ -28,8 +30,8 @@ from __future__ import annotations
 
 import re
 
-from .autgrp import (A1, AutImages, AutWord, GenGamma, GenPhi, GenS, GenT,
-                     _payload_var, realize)
+from .autgrp import (A1, AutImages, AutWord, GenAffine, GenGamma, GenPhi,
+                     GenS, GenT, _payload_var, realize)
 from .gfq import FieldElement, FieldSpec, UsageError
 from .poly import BiPoly, PolyRing, UniPoly
 from .weyl import WeylElement
@@ -285,8 +287,35 @@ def _spec_int(seen: dict, key: str) -> int:
 _WORD_GEN = re.compile(r"\s*([A-Za-z]+)")
 
 
+def _affine_gen(body: str, spec: FieldSpec, start: int) -> GenAffine:
+    """The generator ``affine[a,b,c,d;e,f]`` from the text between its
+    brackets, which starts at ``start`` in the argument: four field
+    elements, the matrix rows (a, b), (c, d), then two, the translation
+    (e, f).  A group of another size is refused at the entry where it goes
+    wrong: the first one too many, or the end of a group one short."""
+    grammar, end = _field_grammar(spec), start + len(body)
+    groups = []
+    for size, part in zip((4, 2), body.split(";", 1) + [None]):
+        if part is None:
+            raise ParseError("affine needs a ';' before its translation", end)
+        entries = part.split(",")
+        if len(entries) != size:
+            pos = (len(",".join(entries[:size])) + 1 if len(entries) > size
+                   else len(part))
+            raise ParseError("affine needs %d entries %s ';'" % (
+                size, "before" if size == 4 else "after"), start + pos)
+        values = []
+        for entry in entries:
+            values.append(_evaluate(entry, *grammar, start))
+            start += len(entry) + 1
+        groups.append(values)
+    (a, b, c, d), translation = groups
+    return GenAffine(((a, b), (c, d)), tuple(translation))
+
+
 def parse_word(text: str, spec: FieldSpec, target: str) -> AutWord:
-    """Sequence of generators: s | t[..] | gamma[..] | phi[..]."""
+    """Sequence of generators: s | t[..] | gamma[..] | phi[..] |
+    affine[a,b,c,d;e,f]."""
     var = _payload_var(target)
     gens = []
     pos = 0
@@ -301,13 +330,17 @@ def parse_word(text: str, spec: FieldSpec, target: str) -> AutWord:
         if name == "s":
             gens.append(GenS())
             continue
-        if name not in ("t", "gamma", "phi"):
+        if name not in ("t", "gamma", "phi", "affine"):
             raise ParseError("unknown generator %r" % name, m.start(1))
         if not text.startswith("[", pos):
             raise ParseError("generator %r needs a [payload]" % name, pos)
         close = text.find("]", pos)
         if close < 0:
             raise ParseError("unclosed payload bracket", pos)
+        if name == "affine":
+            gens.append(_affine_gen(text[pos + 1:close], spec, pos + 1))
+            pos = close + 1
+            continue
         grammar = (_unipoly_grammar(spec, var) if name == "phi"
                    else _field_grammar(spec))
         payload = _evaluate(text[pos + 1:close], *grammar, pos + 1)

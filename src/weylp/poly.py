@@ -7,9 +7,11 @@ private base class, _Sparse, which holds the zero-filtering constructor,
 addition (which drops the keys that cancel, so that no sum is filtered
 again), negation, scaling, powers, equality, the canonical printer and
 substitution through cached powers of the images.  A power takes its
-argument check and its k = 0, zero and constant cases from the base and
-then runs its class's chain, _power: square-and-multiply here,
-WeylElement's own chain in weyl.py.
+argument check and its k = 0, zero and single-term cases from the base
+(a term whose powers need no reordering, _commutes, goes to its
+coefficient's power with every exponent times k) and otherwise runs its
+class's chain, _power: square-and-multiply here, WeylElement's own chain
+in weyl.py.
 
 Every product runs through one kernel, _mul_into, on int keys and int
 coefficient codes, and each operand goes in and comes out in one pass.
@@ -259,19 +261,28 @@ class _Sparse:
         return self._from_nonzero({k: v * c for k, v in self.coeffs.items()})
 
     def __pow__(self, k: int):
-        """self^k: one for k = 0; for zero and for a constant, no product;
-        otherwise the chain of _power."""
+        """self^k: one for k = 0; for zero, and for a single term whose
+        powers need no reordering (_commutes), no product: the coefficient's
+        power with every exponent times k; otherwise the chain of _power."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         if k == 0:
             return self.one(self.ring, self._shape())
         if not self.coeffs:
             return self
-        if len(self.coeffs) == 1 and self.degree == 0:
-            # a constant: its coefficient's power, by square and multiply
+        if len(self.coeffs) == 1:
             (key, c), = self.coeffs.items()
-            return self._from_nonzero({key: c ** k})
+            if self._commutes(key):
+                key = key * k if isinstance(key, int) else tuple(
+                    e * k for e in key)
+                return self._from_nonzero({key: c ** k})
         return self._power(k)
+
+    def _commutes(self, key) -> bool:
+        """Whether the monomial of ``key`` commutes with itself through
+        every reordering, so that its k-th power has every exponent times
+        k: always for commuting variables."""
+        return True
 
     def _power(self, k: int):
         """self^k for k >= 1 by square-and-multiply: k.bit_length() - 1
@@ -300,9 +311,12 @@ class _Sparse:
         images[k] (elements of any algebra over the same coefficient ring,
         e.g. polynomials or Weyl elements).  Powers of each image are
         computed once and shared by all terms; a term multiplies its powers
-        in slot order, which matters when the images do not commute."""
-        one = images[0] ** 0
-        powers = [[one, img] for img in images]
+        in slot order, which matters when the images do not commute.  The
+        unit is built only for a constant term and for 0, and a term is
+        scaled only by a coefficient other than one."""
+        # index 0 of each cache is never read: a zero exponent is skipped
+        powers = [[None, img] for img in images]
+        one = self.ring.one()
         result = None
         for key in sorted(self.coeffs):
             term = None
@@ -312,9 +326,12 @@ class _Sparse:
                     while len(cache) <= e:
                         cache.append(cache[-1] * cache[1])
                     term = cache[e] if term is None else term * cache[e]
-            term = (one if term is None else term) * self.coeffs[key]
+            if term is None:
+                term = images[0] ** 0
+            if (c := self.coeffs[key]) != one:
+                term = term * c
             result = term if result is None else result + term
-        return one * self.ring.zero() if result is None else result
+        return images[0] ** 0 * self.ring.zero() if result is None else result
 
     def _lower(self, slot: int, k: int, factor):
         """The derivative rule: each term with exponent e in key slot

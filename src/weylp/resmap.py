@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .autgrp import (A1, Z, AutImages, AutWord, GenAffine, GenGamma, GenPhi,
                      GenS, GenT, Record, _check_affine, affine_forms,
-                     decompose, generator_images, in_gamma, mat_mul, realize)
+                     decompose, generator_images, in_gamma, realize)
 from .gfq import FieldSpec
 from .poly import BiPoly, UniPoly
 from .weyl import WeylElement
@@ -129,12 +129,24 @@ def symplectic_form(field: FieldSpec, n: int = 2):
 
 
 def is_symplectic(matrix, field: FieldSpec) -> bool:
-    """A^T J A = J for the commutator form J."""
+    """A^T J A = J for the commutator form J, entry by entry: entry (i, j)
+    of A^T J A is omega(col_i, col_j) = sum_s (A[n+s][i] A[s][j] -
+    A[s][i] A[n+s][j]).  Like J it is antisymmetric and zero on the
+    diagonal, so the entries i < j decide: J is -1 at j = n + i and 0 at
+    the others."""
     n2 = len(matrix)
     if n2 % 2 or any(len(row) != n2 for row in matrix):
         return False
-    form = symplectic_form(field, n2 // 2)
-    return mat_mul(mat_mul(tuple(zip(*matrix)), form), matrix) == form
+    n = n2 // 2
+    minus_one, zero = -field.one(), field.zero()
+    for i in range(n2):
+        for j in range(i + 1, n2):
+            omega = field.coerce(sum(
+                matrix[n + s][i] * matrix[s][j]
+                - matrix[s][i] * matrix[n + s][j] for s in range(n)))
+            if omega != (minus_one if j == n + i else zero):
+                return False
+    return True
 
 
 def _require_symplectic(matrix, field: FieldSpec) -> None:

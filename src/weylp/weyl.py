@@ -39,10 +39,11 @@ costs one bigint product per pair of rows, one shift per output row and
 band, and one whole-row fold and mod-p reduction per output row (a Barrett
 step on every sub-slot at once), and the rows are decoded once at the end.
 Over K[t] a power is plain repeated products; either chain starts after
-the argument check and the k = 0, zero and constant cases of the shared
-base.  Everything else (addition,
-scaling, equality, printing, substitution) is the shared sparse base of
-poly.py.  A term-by-term rewriting multiplier lives in the test suite as an
+the argument check and the k = 0, zero and single-term cases of the
+shared base, a single term x^i d^j with i, j > 0 on one axis being the one
+that still takes the chain.  Everything else (addition, scaling,
+equality, printing, substitution) is the shared sparse base of poly.py.
+A term-by-term rewriting multiplier lives in the test suite as an
 independent oracle for all three routines.
 
 Central elements are read in the centre generators x_i^p, d_i^p by one
@@ -176,6 +177,11 @@ class WeylElement(_Sparse):
         if first:
             acc = _weyl_mul(codec, p, n, b, a, w, ba, acc, p - 1)
         return self._from_nonzero(codec.decode(acc, w, 2 * n))
+
+    def _commutes(self, key) -> bool:
+        # x_s^i d_s^j with i, j > 0 reorders: (x d)^2 = x^2 d^2 + x d
+        n = self.n
+        return not any(key[s] and key[n + s] for s in range(n))
 
     def _power(self, k: int) -> "WeylElement":
         # repeated multiplication, not the base's square-and-multiply: a

@@ -7,6 +7,7 @@ from weylp import (A1, Z, AutWord, BiPoly, FieldSpec, GenGamma, GenPhi, GenS,
                    parse_bipoly, parse_field_element, parse_field_spec,
                    parse_images, parse_unipoly, parse_weyl, parse_word,
                    realize)
+from weylp.autgrp import GenAffine
 from weylp.suites import random_word
 
 F2 = FieldSpec(2)
@@ -266,3 +267,75 @@ def test_parse_error_messages(kind, text, spec, message):
         _PARSERS[kind](text, spec)
     assert str(info.value) == message
 
+
+
+def random_affine(rng, spec, det_one=False):
+    """A GenAffine with a random invertible matrix (det 1 if asked) and a
+    random translation."""
+    while True:
+        m = tuple(tuple(spec.random_element(rng) for _ in range(2))
+                  for _ in range(2))
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        if not det.is_zero() and (not det_one or det == spec.one()):
+            return GenAffine(m, (spec.random_element(rng),
+                                 spec.random_element(rng)))
+
+
+class TestAffineWords:
+    """str() of a word with affine generators parses back to the word."""
+
+    @pytest.mark.parametrize("spec", [F3, FieldSpec(7, 2)],
+                             ids=["F3", "F49"])
+    def test_round_trip_on_z(self, spec):
+        rng = random.Random(17)
+        for _ in range(10):
+            gens = list(random_word(rng, spec, Z, 3, 2).gens)
+            gens.insert(rng.randrange(len(gens) + 1), random_affine(rng, spec))
+            word = AutWord(spec, Z, gens)
+            assert parse_word(str(word), spec, Z) == word
+
+    @pytest.mark.parametrize("spec", [F3, FieldSpec(7, 2)],
+                             ids=["F3", "F49"])
+    def test_round_trip_on_a1(self, spec):
+        rng = random.Random(19)
+        for _ in range(10):
+            word = AutWord(spec, A1, [random_affine(rng, spec, True), GenS(),
+                                      random_affine(rng, spec, True)])
+            assert parse_word(str(word), spec, A1) == word
+
+    def test_entries_are_field_expressions(self):
+        F4 = FieldSpec(2, 2, (1, 1, 1))
+        g, one, zero = F4.gen(), F4.one(), F4.zero()
+        word = parse_word("affine[ g , 1, 0, g^2 ; g+1 ,0 ]", F4, Z)
+        assert word.gens == (GenAffine(((g, one), (zero, g * g)),
+                                       (g + one, zero)),)
+
+    @pytest.mark.parametrize("text, message", [
+        ("affine[1,0,0;0,0]", "affine needs 4 entries before ';' "
+                              "(at position 12)"),
+        ("affine[1,0,0,1,2;0,0]", "affine needs 4 entries before ';' "
+                                  "(at position 15)"),
+        ("affine[1,0,0,1;0]", "affine needs 2 entries after ';' "
+                              "(at position 16)"),
+        ("s affine[1,0,0,1;0,0,1]", "affine needs 2 entries after ';' "
+                                    "(at position 21)"),
+        ("affine[1,0,0,1]", "affine needs a ';' before its translation "
+                            "(at position 14)"),
+        ("affine[1,0,0,1,0,0]", "affine needs 4 entries before ';' "
+                                "(at position 15)"),
+        ("affine[1,0,,1;0,0]", "expected a value (at position 11)"),
+        ("affine[1,0,0,x;0,0]", "symbol 'x' is not valid in a field element"
+                                " (allowed: ) (at position 13)"),
+        ("affine[1,0,0,1;0,0", "unclosed payload bracket (at position 6)"),
+        ("affine", "generator 'affine' needs a [payload] (at position 6)"),
+    ])
+    def test_malformed(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_word(text, F3, Z)
+        assert str(info.value) == message
+
+    def test_singular_matrix_is_a_value_error(self):
+        with pytest.raises(ValueError, match="invertible"):
+            parse_word("affine[1,1,1,1;0,0]", F3, Z)
+        with pytest.raises(ValueError, match="determinant 1"):
+            parse_word("affine[2,0,0,1;0,0]", F3, A1)

@@ -8,6 +8,7 @@ from weylp import (A1, Z, AutImages, AutWord, BiPoly, FieldSpec, GenGamma,
                    realize, res, res_affine, res_inverse, res_n_affine,
                    res_n_affine_bruteforce, res_phi, symplectic_form,
                    z_affine_images)
+from weylp.autgrp import mat_mul
 from weylp.gfq import FieldElement
 from weylp.suites import (random_sl2, random_symplectic4, random_word)
 
@@ -338,3 +339,54 @@ class TestAffineClosedFormOnInts:
         mat_p, tr_p = closed
         for c in (*(c for row in mat_p for c in row), *tr_p):
             assert isinstance(c, FieldElement) and c.spec == spec
+
+
+def dense_is_symplectic(matrix, spec):
+    """A^T J A == J as two dense matrix products, the oracle for the entry
+    by entry check."""
+    form = symplectic_form(spec, len(matrix) // 2)
+    return mat_mul(mat_mul(tuple(zip(*matrix)), form), matrix) == form
+
+
+class TestSymplecticEntrywise:
+    """is_symplectic compares omega(col_i, col_j) with J entry by entry;
+    it must agree with the dense product on symplectic matrices and on
+    ones that miss by a single entry or are random."""
+
+    @pytest.mark.parametrize("spec", [F2, FieldSpec(7, 2), FieldSpec(7, 3)],
+                             ids=["F2", "F49", "F343"])
+    def test_agrees_with_dense_product(self, spec):
+        rng = random.Random(31)
+        seen = set()
+        for size in (2, 4):
+            for _ in range(30):
+                m = (random_sl2(rng, spec) if size == 2
+                     else random_symplectic4(rng, spec))
+                kind = rng.randrange(3)
+                if kind == 1:
+                    i, j = rng.randrange(size), rng.randrange(size)
+                    rows = [list(row) for row in m]
+                    rows[i][j] = rows[i][j] + spec.random_nonzero(rng)
+                    m = tuple(map(tuple, rows))
+                elif kind == 2:
+                    m = tuple(tuple(spec.random_element(rng)
+                                    for _ in range(size))
+                              for _ in range(size))
+                expected = dense_is_symplectic(m, spec)
+                assert is_symplectic(m, spec) is expected
+                seen.add((size, expected))
+        assert seen == {(2, True), (2, False), (4, True), (4, False)}
+
+    def test_int_entries(self):
+        for m in (((2, 0), (0, 2)), ((1, 1), (0, 1)), ((2, 0), (0, 1)),
+                  ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                  ((3, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1))):
+            for spec in (F2, F3, F5):
+                assert is_symplectic(m, spec) is dense_is_symplectic(m, spec)
+
+    def test_refuses_odd_and_ragged_shapes(self):
+        one, zero = F3.one(), F3.zero()
+        assert not is_symplectic(((one,),), F3)
+        assert not is_symplectic(((one, zero), (zero,)), F3)
+        assert not is_symplectic(((one, zero, zero), (zero, one, zero),
+                                  (zero, zero, one)), F3)
