@@ -496,7 +496,7 @@ def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
     a, b = img_x.coefficient((1, 0)), img_x.coefficient((0, 1))
     c, d = img_y.coefficient((1, 0)), img_y.coefficient((0, 1))
     e, f = img_x.coefficient((0, 0)), img_y.coefficient((0, 0))
-    det = a * d - b * c
+    det = _det2(((a, b), (c, d)))
     if det.is_zero():
         raise NotAnAutomorphismError("affine part is singular")
     gens: list = []

@@ -26,6 +26,10 @@ from .suites import SUITES, run_suite
 from .theta import theta, theta_inverse, theta_inverse_oracle
 from .weyl import verify_pth_power_identity
 
+# the most cases one fuzz run takes: a count is refused (exit 2) before any
+# case runs, as the expression budgets refuse an input before computing it
+MAX_COUNT = 10000
+
 
 def _pow_check(args, spec):
     f = parse_unipoly(args.poly, spec)
@@ -80,6 +84,8 @@ def _jacobian(args, spec):
 def _fuzz(args, spec):
     if args.count < 1:
         raise UsageError("--count must be positive")
+    if args.count > MAX_COUNT:
+        raise UsageError("--count must be at most %d" % MAX_COUNT)
     report = run_suite(args.suite, spec, args.count, random.Random(args.seed))
     return report.summary(), {"all_passed": report.all_passed}
 
@@ -131,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which algebra the automorphisms act on (default Z)")
     fuzz = sub.choices["fuzz"]
     fuzz.add_argument("--count", type=int, default=100,
-                      help="number of random cases (default 100)")
+                      help="number of random cases, at most %d "
+                           "(default 100)" % MAX_COUNT)
     fuzz.add_argument("--seed", type=int, default=0,
                       help="RNG seed (default 0)")
     return parser

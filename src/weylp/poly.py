@@ -4,11 +4,12 @@ UniPoly (one printing variable, int exponent keys), BiPoly (pairs of
 exponents) and, in weyl.py, WeylElement (exponent vectors in normal order)
 are sparse maps from exponent keys to nonzero coefficients.  They share one
 private base class, _Sparse, which holds the zero-filtering constructor,
-addition (which drops the keys that cancel, so that no sum is filtered
-again), negation, scaling, powers, equality, the canonical printer and
-substitution through cached powers of the images.  A power takes its
-argument check and its k = 0, zero and single-term cases from the base
-(a term whose powers need no reordering, _commutes, goes to its
+the constructors zero, one and constant (at the origin key, _origin, that
+each class names), addition (which drops the keys that cancel, so that no
+sum is filtered again), negation, scaling, powers, equality, the canonical
+printer and substitution through cached powers of the images.  A power
+takes its argument check and its k = 0, zero and single-term cases from
+the base (a term whose powers need no reordering, _commutes, goes to its
 coefficient's power with every exponent times k) and otherwise runs its
 class's chain, _power: square-and-multiply here, WeylElement's own chain
 in weyl.py.
@@ -59,29 +60,35 @@ from .gfq import FieldElement, FieldSpec
 NEG_INF = float("-inf")
 
 
+@lru_cache(maxsize=None)
+def _lucas_tables(p: int) -> tuple:
+    """binom(m, k) mod p for m, k < p, and k! mod p for k < p."""
+    binom = [[comb(m, k) % p for k in range(p)] for m in range(p)]
+    fact = [1] * p
+    for k in range(2, p):
+        fact[k] = fact[k - 1] * k % p
+    return binom, fact
+
+
 def lucas_binomial(m: int, k: int, p: int) -> int:
     """binomial(m, k) mod p by Lucas' theorem (digitwise in base p)."""
     if k < 0 or k > m:
         return 0
+    binom = _lucas_tables(p)[0]
     acc = 1
-    while k:
-        bm, bk = m % p, k % p
-        if bk > bm:
-            return 0
-        acc = (acc * comb(bm, bk)) % p
-        m //= p
-        k //= p
-    return acc % p
+    while k and acc:
+        m, bm = divmod(m, p)
+        k, bk = divmod(k, p)
+        acc = acc * binom[bm][bk] % p
+    return acc
 
 
 def falling_factorial_mod(m: int, k: int, p: int) -> int:
-    """m (m-1) ... (m-k+1) mod p, reduced at every step."""
-    acc = 1
-    for i in range(k):
-        acc = (acc * ((m - i) % p)) % p
-        if acc == 0:
-            return 0
-    return acc
+    """m (m-1) ... (m-k+1) mod p, that is k! binomial(m, k) mod p; 0 for
+    k >= p, as k consecutive integers then hold a multiple of p."""
+    if k >= p:
+        return 0
+    return _lucas_tables(p)[1][k] * lucas_binomial(m, k, p) % p
 
 
 # -- the product kernel and its coded operands --------------------------
@@ -124,16 +131,6 @@ def _coded(codec, coeffs: dict, width: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _lucas_tables(p: int) -> tuple:
-    """binom(m, k) mod p for m, k < p, and k! mod p for k < p."""
-    binom = [[comb(m, k) % p for k in range(p)] for m in range(p)]
-    fact = [1] * p
-    for k in range(2, p):
-        fact[k] = fact[k - 1] * k % p
-    return binom, fact
-
-
 def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
                         p: int, scalar: int) -> dict:
     """``scalar`` times the divided partial derivative prod_s d^[k_s] of a
@@ -167,8 +164,12 @@ class _Sparse:
     A subclass stores its third constructor argument (printing variables, or
     the rank of A_n) in the slot named by ``_SHAPE``; elements combine only
     with elements of the same class, ring and shape.  Each subclass also
-    provides the constructors ``zero`` and ``one``, ``_names`` (printing
-    symbols, one per key slot) and ``_product``."""
+    names ``_origin`` (the key of the constant term, as a class attribute or
+    a property of the shape), ``_names`` (printing symbols, one per key
+    slot) and ``_product``.  The constructors ``zero``, ``one`` and
+    ``constant`` are defined here; they pass a shape positionally to the
+    subclass constructor, which takes its default shape when none is
+    given."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -177,6 +178,23 @@ class _Sparse:
     def __init__(self, ring, coeffs: dict):
         self.ring = ring
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+
+    @classmethod
+    def zero(cls, ring, *shape):
+        return cls(ring, {}, *shape)
+
+    @classmethod
+    def one(cls, ring, *shape):
+        return cls.constant(ring, ring.one(), *shape)
+
+    @classmethod
+    def constant(cls, ring, c, *shape):
+        """``c`` (an element of ``ring`` or an int) at the origin key; no
+        key is stored when it is zero."""
+        out = cls(ring, {}, *shape)
+        if not (c := ring.coerce(c)).is_zero():
+            out.coeffs[out._origin] = c
+        return out
 
     def _shape(self):
         return getattr(self, self._SHAPE)
@@ -399,24 +417,13 @@ class UniPoly(_Sparse):
 
     __slots__ = ("var",)
     _SHAPE = "var"
+    _origin = 0
 
     def __init__(self, ring, coeffs: dict, var: str = "x"):
         self.var = var
         _Sparse.__init__(self, ring, coeffs)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring, var: str = "x") -> "UniPoly":
-        return cls(ring, {}, var)
-
-    @classmethod
-    def one(cls, ring, var: str = "x") -> "UniPoly":
-        return cls(ring, {0: ring.one()}, var)
-
-    @classmethod
-    def constant(cls, ring, c, var: str = "x") -> "UniPoly":
-        return cls(ring, {0: ring.coerce(c)}, var)
 
     @classmethod
     def monomial(cls, ring, e: int, c, var: str = "x") -> "UniPoly":
@@ -527,22 +534,11 @@ class BiPoly(_Sparse):
 
     __slots__ = ("vars",)
     _SHAPE = "vars"
+    _origin = (0, 0)
 
     def __init__(self, ring, coeffs: dict, vars: tuple[str, str] = ("X", "Y")):
         self.vars = tuple(vars)
         _Sparse.__init__(self, ring, coeffs)
-
-    @classmethod
-    def zero(cls, ring, vars=("X", "Y")) -> "BiPoly":
-        return cls(ring, {}, vars)
-
-    @classmethod
-    def one(cls, ring, vars=("X", "Y")) -> "BiPoly":
-        return cls(ring, {(0, 0): ring.one()}, vars)
-
-    @classmethod
-    def constant(cls, ring, c, vars=("X", "Y")) -> "BiPoly":
-        return cls(ring, {(0, 0): ring.coerce(c)}, vars)
 
     @classmethod
     def gens(cls, ring, vars=("X", "Y")) -> tuple["BiPoly", "BiPoly"]:
@@ -551,15 +547,6 @@ class BiPoly(_Sparse):
 
     def _names(self) -> tuple:
         return self.vars
-
-    def leading_form(self) -> "BiPoly":
-        """Homogeneous component of top total degree."""
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading form")
-        d = self.degree
-        return BiPoly(self.ring,
-                      {k: c for k, c in self.coeffs.items() if sum(k) == d},
-                      self.vars)
 
     __add__ = _Sparse.__add__
     __mul__ = _Sparse.__mul__

@@ -129,24 +129,19 @@ def symplectic_form(field: FieldSpec, n: int = 2):
 
 
 def is_symplectic(matrix, field: FieldSpec) -> bool:
-    """A^T J A = J for the commutator form J, entry by entry: entry (i, j)
-    of A^T J A is omega(col_i, col_j) = sum_s (A[n+s][i] A[s][j] -
-    A[s][i] A[n+s][j]).  Like J it is antisymmetric and zero on the
-    diagonal, so the entries i < j decide: J is -1 at j = n + i and 0 at
-    the others."""
+    """A^T J A = J for the commutator form J (symplectic_form), entry by
+    entry: entry (i, j) of A^T J A is omega(col_i, col_j) = sum_s
+    (A[n+s][i] A[s][j] - A[s][i] A[n+s][j]).  Like J it is antisymmetric
+    and zero on the diagonal, so the entries i < j decide."""
     n2 = len(matrix)
     if n2 % 2 or any(len(row) != n2 for row in matrix):
         return False
     n = n2 // 2
-    minus_one, zero = -field.one(), field.zero()
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            omega = field.coerce(sum(
-                matrix[n + s][i] * matrix[s][j]
-                - matrix[s][i] * matrix[n + s][j] for s in range(n)))
-            if omega != (minus_one if j == n + i else zero):
-                return False
-    return True
+    form = symplectic_form(field, n)
+    return all(field.coerce(sum(
+        matrix[n + s][i] * matrix[s][j] - matrix[s][i] * matrix[n + s][j]
+        for s in range(n))) == form[i][j]
+        for i in range(n2) for j in range(i + 1, n2))
 
 
 def _require_symplectic(matrix, field: FieldSpec) -> None:
@@ -193,12 +188,13 @@ def res_n_affine_bruteforce(field: FieldSpec, matrix, translation):
         raise ValueError("only A_1 and A_2 are supported")
     _require_symplectic(matrix, field)
     zero = field.zero()
-    origin = (0,) * size
-    units = [tuple(int(i == j) for j in range(size)) for i in range(size)]
+    gens = WeylElement._generators(field, size // 2)
+    # the key of generator j is the unit key of slot j
+    units = [key for g in gens for key in g.coeffs]
+    origin = gens[0]._origin
     rows = []
     trans = []
-    for w in affine_forms(WeylElement._generators(field, size // 2), matrix,
-                          tuple(translation)):
+    for w in affine_forms(gens, matrix, tuple(translation)):
         centre = (w ** field.p)._center_coeffs()
         if set(centre) - {origin, *units}:
             raise AssertionError("affine restriction is not affine")

@@ -1,16 +1,17 @@
 """Randomized verification suites and the deterministic input generators
 behind them.  A suite is one check per case, ``case(spec, rng, i)``: it
 draws case i's input from the seeded ``rng`` and returns None when the
-check passes, else the input in re-parseable form.  SUITES maps each suite
-name to its check, and run_suite runs ``count`` cases into a SuiteReport:
-how many passed and the failing inputs.  The CLI ``fuzz`` command and the
-acceptance tests are both built on these.
+check passes, else the input in re-parseable form (resn-affine: its matrix
+and translation as _mat_str prints them, as a 4x4 affine map has no word).
+SUITES maps each suite name to its check, and run_suite runs ``count``
+cases into a SuiteReport: how many passed and the failing inputs.  The CLI
+``fuzz`` command and the acceptance tests are both built on these.
 """
 
 from __future__ import annotations
 
-from .autgrp import (A1, Z, AutWord, GenGamma, GenPhi, GenS, GenT, Record,
-                     _payload_var, in_gamma, mat_mul, realize)
+from .autgrp import (A1, Z, AutWord, GenAffine, GenGamma, GenPhi, GenS, GenT,
+                     Record, _payload_var, in_gamma, mat_mul, realize)
 from .gfq import FieldSpec, UsageError
 from .poly import BiPoly, PolyRing, UniPoly
 from .resmap import (a1_affine_images, is_symplectic, res, res_affine,
@@ -204,7 +205,7 @@ def res2_affine(spec: FieldSpec, rng, i):
     fast = res_affine(spec, matrix, translation)
     if fast == res(a1_affine_images(spec, matrix, translation)).image:
         return None
-    return _mat_str(matrix, translation)
+    return str(AutWord(spec, A1, [GenAffine(matrix, translation)]))
 
 
 def resn_affine(spec: FieldSpec, rng, i):

@@ -81,19 +81,11 @@ class WeylElement(_Sparse):
         self.n = n
         _Sparse.__init__(self, ring, coeffs)
 
+    @property
+    def _origin(self) -> tuple:
+        return (0,) * (2 * self.n)
+
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring, n: int = 1) -> "WeylElement":
-        return cls(ring, {}, n)
-
-    @classmethod
-    def one(cls, ring, n: int = 1) -> "WeylElement":
-        return cls(ring, {(0,) * (2 * n): ring.one()}, n)
-
-    @classmethod
-    def constant(cls, ring, c, n: int = 1) -> "WeylElement":
-        return cls(ring, {(0,) * (2 * n): ring.coerce(c)}, n)
 
     @classmethod
     def monomial(cls, ring, key, c, n: int = 1) -> "WeylElement":

@@ -1,12 +1,16 @@
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from weylp import FieldSpec, run_suite
-from weylp.cli import main
+from weylp import (A1, SUITES, FieldSpec, a1_affine_images, parse_word,
+                   realize, run_suite)
+from weylp.cli import MAX_COUNT, main
+from weylp.suites import random_sl2, res2_affine
 
 # byte-exact golden outputs, at least one per subcommand, fixed-seed fuzz
 # summaries included
@@ -195,8 +199,8 @@ FAILING_CASES = {
                ["s phi[1]", "phi[x^3+x^2] phi[2*x^3+2*x^2+2] phi[x+2] phi[0]",
                 "s"]),
     "res2-affine": ("res_affine", lambda *args: None,
-                    ["A=[1,1;1,2] a=(2,1)", "A=[1,1;0,1] a=(2,1)",
-                     "A=[1,2;0,1] a=(0,2)"]),
+                    ["affine[1,1,1,2;2,1]", "affine[1,1,0,1;2,1]",
+                     "affine[1,2,0,1;0,2]"]),
     "resn-affine": ("res_n_affine", lambda *args: None,
                     ["A=[1,2,1,2;2,2,1,1;0,0,2,1;0,0,1,1] a=(2,0,2,0)",
                      "A=[2,0,2,2;2,2,1,2;0,0,2,1;0,0,0,2] a=(1,2,2,0)",
@@ -205,6 +209,76 @@ FAILING_CASES = {
                   ["mu=1 lambda=2 i=0", "mu=2 lambda=0 i=3",
                    "mu=2 lambda=1 i=3"]),
 }
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(3, 2),
+                                  FieldSpec(5)], ids=["F3", "F9", "F5"])
+def test_res2_affine_failure_parses_back(spec, monkeypatch):
+    """A failing res2-affine case reports its affine map as a word that
+    parses back to the same A_1 automorphism."""
+    monkeypatch.setattr("weylp.suites.res_affine", lambda *args: None)
+    for seed in range(5):
+        failure = res2_affine(spec, random.Random(seed), 0)
+        rng = random.Random(seed)
+        matrix = random_sl2(rng, spec)
+        translation = (spec.random_element(rng), spec.random_element(rng))
+        assert realize(parse_word(failure, spec, A1)) == \
+            a1_affine_images(spec, matrix, translation)
+
+
+class TestCountMaximum:
+    """fuzz --count takes at most MAX_COUNT cases and refuses more before
+    any case runs."""
+
+    def run_counting(self, count, monkeypatch, capsys):
+        cases = []
+        monkeypatch.setitem(SUITES, "thm17",
+                            lambda spec, rng, i: cases.append(i))
+        code = main(["fuzz", "thm17", "--field", "p=3", "--count",
+                     str(count)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, len(cases)
+
+    @pytest.mark.parametrize("count", [MAX_COUNT + 1,
+                                       100000000000000000000000])
+    def test_above_maximum_exits_2(self, count, monkeypatch, capsys):
+        code, out, err, cases = self.run_counting(count, monkeypatch, capsys)
+        assert (code, out, cases) == (2, "", 0)
+        assert err == "error: --count must be at most %d\n" % MAX_COUNT
+
+    def test_maximum_admitted(self, monkeypatch, capsys):
+        code, out, err, cases = self.run_counting(MAX_COUNT, monkeypatch,
+                                                  capsys)
+        assert (code, err, cases) == (0, "", MAX_COUNT)
+        assert out == "%d/%d OK\n" % (MAX_COUNT, MAX_COUNT)
+
+    def test_documented(self, capsys):
+        assert main(["fuzz", "--help"]) == 0
+        assert "at most %d" % MAX_COUNT in capsys.readouterr().out
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert "`weylp.cli.MAX_COUNT` = %d" % MAX_COUNT in readme
+        counts = [int(c) for c in re.findall(
+            r"^weylp fuzz .*--count (\d+)", readme, re.M)]
+        assert counts and max(counts) <= MAX_COUNT
+
+
+# (X + Y^2; Y + X^3) has jacobian 1 over F_2 and F_3 but is no automorphism
+@pytest.mark.parametrize("p", ["2", "3"])
+class TestJacobianOneNonAutomorphism:
+    ARG = "(X+Y^2; Y+X^3)"
+
+    @pytest.mark.parametrize("command", ["decompose", "res-inv"])
+    def test_refused(self, p, command, capsys):
+        code = main([command, "--field", "p=" + p, self.ARG])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == ("error: not an automorphism: degree "
+                                "reduction stalled: 2 does not divide 3\n")
+
+    def test_jacobian_prints_one(self, p, capsys):
+        code = main(["jacobian", "--field", "p=" + p, self.ARG])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, "1\n", "")
 
 
 @pytest.mark.parametrize("suite", ["thm17", "cor22", "resn-affine"])

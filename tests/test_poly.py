@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from weylp import (BiPoly, FieldSpec, PolyRing, UniPoly, WeylElement,
                    jacobian, lucas_binomial, p_recompose)
+from weylp.poly import falling_factorial_mod
 
 from helpers import random_unipoly_exact
 
@@ -46,6 +47,15 @@ class TestLucas:
     def test_matches_integer_binomial(self, m, k, p):
         assert lucas_binomial(m, k, p) == comb(m, k) % p if k <= m \
             else lucas_binomial(m, k, p) == 0
+
+    def test_falling_factorial_matches_product(self):
+        for p in (2, 3, 5, 7, 13):
+            for m in range(3 * p * p):
+                for k in range(2 * p + 1):
+                    direct = 1
+                    for i in range(k):
+                        direct *= m - i
+                    assert falling_factorial_mod(m, k, p) == direct % p
 
 
 class TestRingOps:
@@ -132,6 +142,51 @@ class TestRingOps:
                 f.substitute(value) + g.substitute(value)
             assert (f * g).substitute(value) == \
                 f.substitute(value) * g.substitute(value)
+
+
+# (class, shape arguments, the shape they give: the default when none)
+SHAPES = [(UniPoly, (), "x"), (UniPoly, ("u",), "u"),
+          (BiPoly, (), ("X", "Y")), (BiPoly, (("x1", "x2"),), ("x1", "x2")),
+          (WeylElement, (), 1), (WeylElement, (2,), 2)]
+
+
+class TestConstantConstructors:
+    """zero, one and constant, shared by the three sparse classes, over
+    fields and K[t]."""
+
+    RINGS = [F3, FieldSpec(7, 2), PolyRing(F3)]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["F3", "F49", "F3[t]"])
+    @pytest.mark.parametrize("cls,shape,made", SHAPES)
+    def test_constant_zero_stores_no_key(self, ring, cls, shape, made):
+        for zero in (0, ring.zero()):
+            c = cls.constant(ring, zero, *shape)
+            assert c.coeffs == {} and c.is_zero()
+            assert c == cls.zero(ring, *shape)
+            assert cls.zero(ring, *shape).coeffs == {}
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["F3", "F49", "F3[t]"])
+    @pytest.mark.parametrize("cls,shape,made", SHAPES)
+    def test_one_and_constants(self, ring, cls, shape, made):
+        one = cls.one(ring, *shape)
+        assert one == cls.constant(ring, 1, *shape)
+        assert one.coeffs == {one._origin: ring.one()}
+        assert one.degree == 0 and str(one) == "1"
+        two = cls.constant(ring, 2, *shape)
+        assert two.coeffs == {two._origin: ring.from_int(2)}
+        assert two == one + one
+
+    @pytest.mark.parametrize("cls,shape,made", SHAPES)
+    def test_shapes(self, cls, shape, made):
+        for e in (cls.zero(F3, *shape), cls.one(F3, *shape),
+                  cls.constant(F3, 2, *shape)):
+            assert e._shape() == made
+
+    def test_origin_keys(self):
+        assert UniPoly.one(F3)._origin == 0
+        assert BiPoly.one(F3)._origin == (0, 0)
+        assert WeylElement.one(F3)._origin == (0, 0)
+        assert WeylElement.one(F3, 2)._origin == (0, 0, 0, 0)
 
 
 class TestCalculus:

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from weylp import (A1, Z, AutImages, AutWord, BiPoly, FieldSpec, GenGamma,
-                   GenPhi, GenS, GenT, ResResult, UniPoly, WeylElement,
-                   a1_affine_images, compose, in_gamma, is_symplectic,
-                   realize, res, res_affine, res_inverse, res_n_affine,
+                   GenPhi, GenS, GenT, NotAnAutomorphismError, ResResult,
+                   UniPoly, WeylElement, a1_affine_images, compose, decompose,
+                   in_gamma, is_symplectic, parse_automorphism, realize, res,
+                   res_affine, res_inverse, res_n_affine,
                    res_n_affine_bruteforce, res_phi, symplectic_form,
                    z_affine_images)
 from weylp.autgrp import mat_mul
@@ -390,3 +391,31 @@ class TestSymplecticEntrywise:
         assert not is_symplectic(((one, zero), (zero,)), F3)
         assert not is_symplectic(((one, zero, zero), (zero, one, zero),
                                   (zero, zero, one)), F3)
+
+
+# (X + Y^2; Y + X^3) has jacobian 1 - 6 X^2 Y, which is 1 over F_2 and F_3
+# (the jacobian conjecture fails in characteristic p), yet its image
+# degrees 2 and 3 admit no reduction step: no automorphism
+JACOBIAN_ONE_ENDOMORPHISM = "(X+Y^2; Y+X^3)"
+
+
+@pytest.mark.parametrize("spec", [F2, F3], ids=["p=2", "p=3"])
+class TestJacobianOneNonAutomorphism:
+    STALLED = "degree reduction stalled: 2 does not divide 3"
+
+    def images(self, spec):
+        return parse_automorphism(JACOBIAN_ONE_ENDOMORPHISM, spec, Z)
+
+    def test_jacobian_is_one(self, spec):
+        g = self.images(spec)
+        assert g.jacobian() == BiPoly.one(spec) and in_gamma(g)
+
+    def test_decompose_refuses(self, spec):
+        with pytest.raises(NotAnAutomorphismError) as exc:
+            decompose(self.images(spec))
+        assert str(exc.value) == self.STALLED
+
+    def test_res_inverse_refuses(self, spec):
+        with pytest.raises(NotAnAutomorphismError) as exc:
+            res_inverse(self.images(spec))
+        assert str(exc.value) == self.STALLED
