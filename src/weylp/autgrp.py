@@ -35,6 +35,8 @@ from .weyl import WeylElement
 
 A1 = "A1"
 Z = "Z"
+# the element class of each target's images
+_KINDS = {A1: WeylElement, Z: BiPoly}
 
 
 class NotAnAutomorphismError(ValueError):
@@ -260,7 +262,7 @@ class AutImages(Record, _JacobianSlot):
                  validate: bool = True):
         if target not in (A1, Z):
             raise ValueError("target must be %r or %r" % (A1, Z))
-        kind = WeylElement if target == A1 else BiPoly
+        kind = _KINDS[target]
         if not isinstance(img_x, kind) or not isinstance(img_y, kind):
             raise ValueError("%s images must be %s values"
                              % (target, kind.__name__))
@@ -278,7 +280,7 @@ class AutImages(Record, _JacobianSlot):
         preserve the defining relation [d, x] = 1."""
         if self.target == Z:
             jac = self.jacobian()
-            if set(jac.coeffs) - {(0, 0)} or jac.is_zero():
+            if jac.degree != 0:
                 raise NotAnAutomorphismError(
                     "jacobian %s is not a nonzero constant" % jac)
         else:
@@ -310,9 +312,7 @@ class AutImages(Record, _JacobianSlot):
 
 
 def _gens(field: FieldSpec, target: str) -> tuple:
-    if target == A1:
-        return WeylElement._generators(field)
-    return BiPoly.gens(field)
+    return _KINDS[target]._generators(field)
 
 
 def identity_images(field: FieldSpec, target: str) -> AutImages:
@@ -338,6 +338,22 @@ def affine_forms(gens, matrix, translation) -> list:
             for row, a in zip(matrix, translation)]
 
 
+def _affine_part(maps, gens, zero) -> tuple:
+    """The inverse of affine_forms: the matrix and translation of the affine
+    map whose images of the generators ``gens`` have the coefficient maps
+    ``maps``, read at the unit keys of ``gens`` and at the origin, with
+    ``zero`` where a key is absent.  Raises AssertionError on any other
+    key."""
+    # the unit keys, one per generator, then the origin
+    keys = [key for g in gens for key in g.coeffs] + [gens[0]._origin]
+    rows = []
+    for m in maps:
+        if set(m) - set(keys):
+            raise AssertionError("image is not affine")
+        rows.append(tuple(m.get(key, zero) for key in keys))
+    return tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows)
+
+
 def generator_images(gen: Generator, field: FieldSpec, target: str) -> AutImages:
     x, y = _gens(field, target)
     if isinstance(gen, GenS):
@@ -347,12 +363,7 @@ def generator_images(gen: Generator, field: FieldSpec, target: str) -> AutImages
     elif isinstance(gen, GenGamma):
         images = (x.scale(gen.mu), y)
     elif isinstance(gen, GenPhi):
-        f = gen.payload
-        if target == Z:
-            lift = BiPoly(field, {(e, 0): c for e, c in f.coeffs.items()})
-        else:
-            lift = WeylElement.from_unipoly(f)
-        images = (x, y + lift)
+        images = (x, y + type(x).from_unipoly(gen.payload))
     else:
         images = affine_forms((x, y), gen.matrix, gen.translation)
     return AutImages(field, target, *images, validate=False)
@@ -493,9 +504,8 @@ def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
     """Factor a degree-1 pair of Z images into [gamma] [t] (s/linear-phi
     word); raises NotAnAutomorphismError when the linear part is singular."""
     one = field.one()
-    a, b = img_x.coefficient((1, 0)), img_x.coefficient((0, 1))
-    c, d = img_y.coefficient((1, 0)), img_y.coefficient((0, 1))
-    e, f = img_x.coefficient((0, 0)), img_y.coefficient((0, 0))
+    ((a, b), (c, d)), (e, f) = _affine_part(
+        (img_x.coeffs, img_y.coeffs), _gens(field, Z), field.zero())
     det = _det2(((a, b), (c, d)))
     if det.is_zero():
         raise NotAnAutomorphismError("affine part is singular")

@@ -77,7 +77,7 @@ def _compose(args, spec):
 
 def _jacobian(args, spec):
     jac = parse_automorphism(args.aut, spec, Z).jacobian()
-    return str(jac), {"constant": not (set(jac.coeffs) - {(0, 0)}),
+    return str(jac), {"constant": jac.degree <= 0,
                       "nonzero": not jac.is_zero()}
 
 

@@ -14,6 +14,10 @@ two elements is the int sum or product of their codes, folded back to an
 element by FieldCodec.value.  Inside a polynomial or Weyl product the codes
 are added and multiplied as plain ints and folded once at the end of the
 product.
+
+Terms are printed by one printer, _mono_str and _format_term: the
+polynomials in g here (_g_str, behind elements and moduli) and the sparse
+polynomials and Weyl elements of poly.py, which imports them.
 """
 
 from __future__ import annotations
@@ -70,16 +74,32 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
     return next(mod for mod in _monics(p, n) if is_irreducible(mod, p))
 
 
+def _mono_str(var: str, e: int) -> str:
+    """var^e, var for e = 1, empty for e = 0."""
+    if e == 0:
+        return ""
+    if e == 1:
+        return var
+    return "%s^%d" % (var, e)
+
+
+def _format_term(cs: str, is_one: bool, mono: str) -> str:
+    """A term printed from its coefficient's text ``cs`` and its monomial
+    ``mono``: the coefficient alone for a constant, the monomial alone for
+    a coefficient of one, a compound coefficient in parentheses."""
+    if is_one and mono:
+        return mono
+    compound = "+" in cs or "*" in cs or "^" in cs
+    if not mono:
+        return "(%s)" % cs if compound else cs
+    return "(%s)*%s" % (cs, mono) if compound else "%s*%s" % (cs, mono)
+
+
 def _g_str(coeffs, descending: bool = False) -> str:
     """The polynomial in g with ascending coefficients ``coeffs``, lowest
     power first (highest first if ``descending``), zero terms skipped."""
-    parts = []
-    for e, c in enumerate(coeffs):
-        if c and e == 0:
-            parts.append(str(c))
-        elif c:
-            mono = "g" if e == 1 else "g^%d" % e
-            parts.append(mono if c == 1 else "%d*%s" % (c, mono))
+    parts = [_format_term(str(c), c == 1, _mono_str("g", e))
+             for e, c in enumerate(coeffs) if c]
     if descending:
         parts.reverse()
     return "+".join(parts) or "0"

@@ -209,16 +209,15 @@ def _unipoly_grammar(ring, var: str):
 
 
 def _bipoly_grammar(spec: FieldSpec, vars):
-    gx, gy = BiPoly.gens(spec, vars)
-    return _grammar({vars[0]: gx, vars[1]: gy}, BiPoly.one(spec, vars), spec,
+    return _grammar(dict(zip(vars, BiPoly.gens(spec, vars))),
+                    BiPoly.one(spec, vars), spec,
                     "a polynomial in %s, %s" % vars)
 
 
 def _weyl_grammar(spec: FieldSpec, n: int):
-    names = ("x", "d") if n == 1 else ("x1", "x2", "d1", "d2")
     gens = WeylElement._generators(spec, n)
-    return _grammar(dict(zip(names, gens)), WeylElement.one(spec, n), spec,
-                    "an A_%d expression" % n)
+    return _grammar(dict(zip(gens[0]._names(), gens)),
+                    WeylElement.one(spec, n), spec, "an A_%d expression" % n)
 
 
 def parse_field_element(text: str, spec: FieldSpec):

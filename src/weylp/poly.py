@@ -5,14 +5,20 @@ exponents) and, in weyl.py, WeylElement (exponent vectors in normal order)
 are sparse maps from exponent keys to nonzero coefficients.  They share one
 private base class, _Sparse, which holds the zero-filtering constructor,
 the constructors zero, one and constant (at the origin key, _origin, that
-each class names), addition (which drops the keys that cancel, so that no
-sum is filtered again), negation, scaling, powers, equality, the canonical
-printer and substitution through cached powers of the images.  A power
-takes its argument check and its k = 0, zero and single-term cases from
-the base (a term whose powers need no reordering, _commutes, goes to its
-coefficient's power with every exponent times k) and otherwise runs its
-class's chain, _power: square-and-multiply here, WeylElement's own chain
-in weyl.py.
+each class names), the generators of the tuple-key classes (_generators:
+one unit key per slot, built once per class, ring object and shape and
+shared by every caller, BiPoly.gens and the A_n generators among them),
+the lift from_unipoly of f(x) into the first generator, addition (which
+drops the keys that cancel, so that no sum is filtered again), negation,
+scaling, powers, equality, the canonical printer (through the term
+helpers of gfq.py, _mono_str and _format_term, which also print the
+polynomials in g) and substitution through cached powers of the images.
+Exponent keys are spelled here and in weyl.py only; the other modules
+read them through _origin and _generators.  A power takes its argument
+check and its k = 0, zero and single-term cases from the base (a term
+whose powers need no reordering, _commutes, goes to its coefficient's
+power with every exponent times k) and otherwise runs its class's chain,
+_power: square-and-multiply here, WeylElement's own chain in weyl.py.
 
 Every product runs through one kernel, _mul_into, on int keys and int
 coefficient codes, and each operand goes in and comes out in one pass.
@@ -55,7 +61,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from math import comb
 
-from .gfq import FieldElement, FieldSpec
+from .gfq import FieldElement, FieldSpec, _format_term, _mono_str
 
 NEG_INF = float("-inf")
 
@@ -158,6 +164,11 @@ def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
 # -- the shared sparse base -----------------------------------------------
 
 
+# (class, ring, *shape) -> _Sparse._generators(ring, *shape), for the last
+# ring object of each value that asked
+_GENERATORS: dict = {}
+
+
 class _Sparse:
     """Map from exponent keys to nonzero coefficients in ``ring``.
 
@@ -195,6 +206,26 @@ class _Sparse:
         if not (c := ring.coerce(c)).is_zero():
             out.coeffs[out._origin] = c
         return out
+
+    @classmethod
+    def _generators(cls, ring, *shape) -> tuple:
+        """The generators in key-slot order, one unit key each (tuple keys
+        only), built once per class, ring object and shape argument (an
+        omitted shape, the default, is an argument of its own): no element
+        is changed in place, so every caller can share them."""
+        gens = _GENERATORS.get((cls, ring, *shape))
+        if gens is None or gens[0].ring is not ring:
+            zero, one = cls.zero(ring, *shape), ring.one()
+            slots = range(len(zero._origin))
+            gens = _GENERATORS[cls, ring, *shape] = tuple(zero._from_nonzero(
+                {tuple(int(s == u) for s in slots): one}) for u in slots)
+        return gens
+
+    @classmethod
+    def from_unipoly(cls, f: "UniPoly"):
+        """f in the first generator: f(x) on A_1, f(X) on K[X, Y] (tuple
+        keys only)."""
+        return cls(f.ring, {(e, 0): c for e, c in f.coeffs.items()})
 
     def _shape(self):
         return getattr(self, self._SHAPE)
@@ -393,25 +424,6 @@ class _Sparse:
         return "%s(%s)" % (type(self).__name__, self)
 
 
-def _mono_str(var: str, e: int) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return var
-    return "%s^%d" % (var, e)
-
-
-def _format_term(cs: str, is_one: bool, mono: str) -> str:
-    compound = any(ch in cs for ch in "+*^")
-    if not mono:
-        return "(%s)" % cs if compound else cs
-    if is_one:
-        return mono
-    if compound:
-        return "(%s)*%s" % (cs, mono)
-    return "%s*%s" % (cs, mono)
-
-
 class UniPoly(_Sparse):
     """Sparse univariate polynomial; ``var`` is the printing symbol."""
 
@@ -542,8 +554,7 @@ class BiPoly(_Sparse):
 
     @classmethod
     def gens(cls, ring, vars=("X", "Y")) -> tuple["BiPoly", "BiPoly"]:
-        one = ring.one()
-        return (cls(ring, {(1, 0): one}, vars), cls(ring, {(0, 1): one}, vars))
+        return cls._generators(ring, tuple(vars))
 
     def _names(self) -> tuple:
         return self.vars

@@ -16,8 +16,9 @@ payload, s by itself) and realize the resulting word on A_1.
 from __future__ import annotations
 
 from .autgrp import (A1, Z, AutImages, AutWord, GenAffine, GenGamma, GenPhi,
-                     GenS, GenT, Record, _check_affine, affine_forms,
-                     decompose, generator_images, in_gamma, realize)
+                     GenS, GenT, Record, _affine_part, _check_affine,
+                     affine_forms, decompose, generator_images, in_gamma,
+                     realize)
 from .gfq import FieldSpec
 from .poly import BiPoly, UniPoly
 from .weyl import WeylElement
@@ -47,10 +48,9 @@ def res(a: AutImages) -> ResResult:
     img_y = pow_y.to_center()
     # jacobian 1, checked below, implies what validation would check
     image = AutImages(field, Z, img_x, img_y, validate=False)
-    jac = image.jacobian()
-    jac_value = jac.coefficient((0, 0))
-    if jac != BiPoly.one(field):
+    if not in_gamma(image):
         raise AssertionError("restriction left the jacobian-1 subgroup")
+    jac_value = image.jacobian().coefficient(BiPoly._origin)
     d_in, d_out = a.degree, image.degree
     if d_in != d_out:
         raise AssertionError("restriction changed the degree: %d -> %d"
@@ -187,17 +187,7 @@ def res_n_affine_bruteforce(field: FieldSpec, matrix, translation):
     if size not in (2, 4):
         raise ValueError("only A_1 and A_2 are supported")
     _require_symplectic(matrix, field)
-    zero = field.zero()
     gens = WeylElement._generators(field, size // 2)
-    # the key of generator j is the unit key of slot j
-    units = [key for g in gens for key in g.coeffs]
-    origin = gens[0]._origin
-    rows = []
-    trans = []
-    for w in affine_forms(gens, matrix, tuple(translation)):
-        centre = (w ** field.p)._center_coeffs()
-        if set(centre) - {origin, *units}:
-            raise AssertionError("affine restriction is not affine")
-        rows.append(tuple(centre.get(unit, zero) for unit in units))
-        trans.append(centre.get(origin, zero))
-    return tuple(rows), tuple(trans)
+    images = affine_forms(gens, matrix, tuple(translation))
+    return _affine_part([(w ** field.p)._center_coeffs() for w in images],
+                        gens, field.zero())

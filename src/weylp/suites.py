@@ -1,8 +1,9 @@
 """Randomized verification suites and the deterministic input generators
 behind them.  A suite is one check per case, ``case(spec, rng, i)``: it
 draws case i's input from the seeded ``rng`` and returns None when the
-check passes, else the input in re-parseable form (resn-affine: its matrix
-and translation as _mat_str prints them, as a 4x4 affine map has no word).
+check passes, else the input in re-parseable form (resn-affine: the four
+A_2 images of its affine map, joined by "; ", each read back by
+parse_weyl).
 SUITES maps each suite name to its check, and run_suite runs ``count``
 cases into a SuiteReport: how many passed and the failing inputs.  The CLI
 ``fuzz`` command and the acceptance tests are both built on these.
@@ -11,13 +12,14 @@ cases into a SuiteReport: how many passed and the failing inputs.  The CLI
 from __future__ import annotations
 
 from .autgrp import (A1, Z, AutWord, GenAffine, GenGamma, GenPhi, GenS, GenT,
-                     Record, _payload_var, in_gamma, mat_mul, realize)
+                     Record, _payload_var, affine_forms, in_gamma, mat_mul,
+                     realize)
 from .gfq import FieldSpec, UsageError
 from .poly import BiPoly, PolyRing, UniPoly
 from .resmap import (a1_affine_images, is_symplectic, res, res_affine,
                      res_inverse, res_n_affine, res_n_affine_bruteforce)
 from .theta import theta, theta_inverse, theta_inverse_oracle
-from .weyl import (verify_pth_power_identity,
+from .weyl import (WeylElement, verify_pth_power_identity,
                    verify_pth_power_identity_2vars)
 
 
@@ -141,11 +143,6 @@ def random_symplectic4(rng, spec: FieldSpec, force_correction: bool = False):
     return m
 
 
-def _mat_str(matrix, translation) -> str:
-    rows = ";".join(",".join(str(c) for c in row) for row in matrix)
-    return "A=[%s] a=(%s)" % (rows, ",".join(str(c) for c in translation))
-
-
 # ----------------------------------------------------------------------
 # suites: one check per case, None when case i passes, else the failing
 # input in re-parseable form
@@ -216,7 +213,8 @@ def resn_affine(spec: FieldSpec, rng, i):
             res_n_affine(spec, matrix, translation)
             == res_n_affine_bruteforce(spec, matrix, translation)):
         return None
-    return _mat_str(matrix, translation)
+    return "; ".join(map(str, affine_forms(WeylElement._generators(spec, 2),
+                                           matrix, translation)))
 
 
 def relations(spec: FieldSpec, rng, i):

@@ -41,8 +41,10 @@ step on every sub-slot at once), and the rows are decoded once at the end.
 Over K[t] a power is plain repeated products; either chain starts after
 the argument check and the k = 0, zero and single-term cases of the
 shared base, a single term x^i d^j with i, j > 0 on one axis being the one
-that still takes the chain.  Everything else (addition, scaling,
-equality, printing, substitution) is the shared sparse base of poly.py.
+that still takes the chain.  Everything else (the generators x_i, d_i
+that x_gen and d_gen index, the lift from_unipoly of f(x), addition,
+scaling, equality, printing, substitution) is the shared sparse base of
+poly.py.
 A term-by-term rewriting multiplier lives in the test suite as an
 independent oracle for all three routines.
 
@@ -61,11 +63,6 @@ from itertools import product as _iterproduct
 
 from .poly import (BiPoly, UniPoly, _coded, _divided_derivative, _lucas_tables,
                    _mul_into, _Sparse)
-
-
-# (ring, n) -> WeylElement._generators(ring, n), for the last ring object
-# of each value that asked
-_GENERATORS: dict = {}
 
 
 class WeylElement(_Sparse):
@@ -101,24 +98,6 @@ class WeylElement(_Sparse):
     @classmethod
     def d_gen(cls, ring, axis: int = 0, n: int = 1) -> "WeylElement":
         return cls._generators(ring, n)[n + axis]
-
-    @classmethod
-    def _generators(cls, ring, n: int = 1) -> tuple:
-        """x_1..x_n, d_1..d_n: the generators in key-slot order, the unit
-        keys, built once per ring object and rank (no element is changed in
-        place, so every caller can share them)."""
-        gens = _GENERATORS.get((ring, n))
-        if gens is None or gens[0].ring is not ring:
-            one, size = ring.one(), 2 * n
-            gens = _GENERATORS[ring, n] = tuple(
-                cls(ring, {tuple(int(s == slot) for s in range(size)): one}, n)
-                for slot in range(size))
-        return gens
-
-    @classmethod
-    def from_unipoly(cls, f: UniPoly) -> "WeylElement":
-        """Embed f(x) into A_1."""
-        return cls(f.ring, {(e, 0): c for e, c in f.coeffs.items()}, 1)
 
     @classmethod
     def from_xpoly2(cls, f: BiPoly) -> "WeylElement":

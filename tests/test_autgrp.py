@@ -9,6 +9,7 @@ from weylp import (A1, Z, AutImages, AutWord, BiPoly, FieldSpec, GenAffine,
                    UniPoly, WeylElement, apply_images, compose, decompose,
                    identity_images, in_gamma, invert, invert_word,
                    normalize_word, realize)
+from weylp.autgrp import _affine_part, affine_forms
 from weylp.suites import random_word
 
 F2 = FieldSpec(2)
@@ -537,3 +538,52 @@ class TestRealizeFold:
                 assert realize(word) == expected
                 assert len(calls) == max(len(word) - 1, 0)
                 monkeypatch.undo()
+
+
+class TestAffinePart:
+    """_affine_part reads back the matrix and translation that affine_forms
+    builds the generator images from, and refuses an image with a key of
+    degree 2."""
+
+    GENS = {"Z": lambda spec: BiPoly.gens(spec),
+            "A1": lambda spec: WeylElement._generators(spec, 1),
+            "A2": lambda spec: WeylElement._generators(spec, 2)}
+
+    FIELDS = [F3, FieldSpec(7, 2), FieldSpec(7, 3)]
+
+    @pytest.mark.parametrize("kind", sorted(GENS))
+    @pytest.mark.parametrize("spec", FIELDS, ids=str)
+    def test_inverse_of_affine_forms(self, spec, kind):
+        gens = self.GENS[kind](spec)
+        size = len(gens)
+        rng = random.Random(size)
+        for _ in range(8):
+            matrix = tuple(tuple(spec.random_element(rng)
+                                 for _ in range(size)) for _ in range(size))
+            translation = tuple(spec.random_element(rng)
+                                for _ in range(size))
+            images = affine_forms(gens, matrix, translation)
+            assert _affine_part([g.coeffs for g in images], gens,
+                                spec.zero()) == (matrix, translation)
+
+    @pytest.mark.parametrize("kind", sorted(GENS))
+    @pytest.mark.parametrize("spec", FIELDS, ids=str)
+    def test_int_entries(self, spec, kind):
+        gens = self.GENS[kind](spec)
+        size = len(gens)
+        matrix = tuple(tuple(i * size + j for j in range(size))
+                       for i in range(size))
+        translation = tuple(range(1, size + 1))
+        images = affine_forms(gens, matrix, translation)
+        part = _affine_part([g.coeffs for g in images], gens, spec.zero())
+        assert part == (tuple(tuple(map(spec.coerce, row)) for row in matrix),
+                        tuple(map(spec.coerce, translation)))
+
+    @pytest.mark.parametrize("kind", sorted(GENS))
+    def test_degree_two_key_refused(self, kind):
+        gens = self.GENS[kind](F3)
+        images = affine_forms(gens, [[1] * len(gens)] * len(gens),
+                              [0] * len(gens))
+        images[-1] = images[-1] + gens[0] * gens[-1]
+        with pytest.raises(AssertionError, match="not affine"):
+            _affine_part([g.coeffs for g in images], gens, F3.zero())

@@ -7,8 +7,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from weylp import (A1, SUITES, FieldSpec, a1_affine_images, parse_word,
-                   realize, run_suite)
+from weylp import (A1, SUITES, FieldSpec, WeylElement, a1_affine_images,
+                   is_symplectic, parse_weyl, parse_word, realize, run_suite)
+from weylp.autgrp import _affine_part, affine_forms
 from weylp.cli import MAX_COUNT, main
 from weylp.suites import random_sl2, res2_affine
 
@@ -202,9 +203,9 @@ FAILING_CASES = {
                     ["affine[1,1,1,2;2,1]", "affine[1,1,0,1;2,1]",
                      "affine[1,2,0,1;0,2]"]),
     "resn-affine": ("res_n_affine", lambda *args: None,
-                    ["A=[1,2,1,2;2,2,1,1;0,0,2,1;0,0,1,1] a=(2,0,2,0)",
-                     "A=[2,0,2,2;2,2,1,2;0,0,2,1;0,0,0,2] a=(1,2,2,0)",
-                     "A=[1,1,1,0;0,1,0,0;0,0,1,0;0,0,2,1] a=(2,0,1,2)"]),
+                    ["x1+2*x2+d1+2*d2+2; 2*x1+2*x2+d1+d2; 2*d1+d2+2; d1+d2",
+                     "2*x1+2*d1+2*d2+1; 2*x1+2*x2+d1+2*d2+2; 2*d1+d2+2; 2*d2",
+                     "x1+x2+d1+2; x2; d1+1; 2*d1+d2+2"]),
     "relations": ("realize", lambda word: object(),
                   ["mu=1 lambda=2 i=0", "mu=2 lambda=0 i=3",
                    "mu=2 lambda=1 i=3"]),
@@ -224,6 +225,21 @@ def test_res2_affine_failure_parses_back(spec, monkeypatch):
         translation = (spec.random_element(rng), spec.random_element(rng))
         assert realize(parse_word(failure, spec, A1)) == \
             a1_affine_images(spec, matrix, translation)
+
+
+def test_resn_affine_failures_parse_back():
+    """A failing resn-affine case reports the four A_2 images of its affine
+    map: read back over F_3, they are the images of a symplectic map, and
+    print the same text."""
+    spec = FieldSpec(3)
+    gens = WeylElement._generators(spec, 2)
+    for text in FAILING_CASES["resn-affine"][2]:
+        images = [parse_weyl(part, spec, 2) for part in text.split("; ")]
+        matrix, translation = _affine_part([w.coeffs for w in images], gens,
+                                           spec.zero())
+        assert is_symplectic(matrix, spec)
+        assert "; ".join(map(str, affine_forms(gens, matrix,
+                                               translation))) == text
 
 
 class TestCountMaximum:

@@ -9,6 +9,8 @@ from weylp import (BiPoly, FieldSpec, PolyRing, UniPoly, WeylElement,
                    jacobian, lucas_binomial, p_recompose)
 from weylp.poly import falling_factorial_mod
 
+from weylp.suites import random_unipoly
+
 from helpers import random_unipoly_exact
 
 F2 = FieldSpec(2)
@@ -429,3 +431,45 @@ class TestJacobianOnePass:
         assert J == jacobian_by_products(P, Q)
         assert all(sum(key) == 10 for key in J.coeffs)
         assert jacobian(P, P).is_zero()
+
+
+class TestSharedGenerators:
+    """The generators of BiPoly and of A_n are built once per ring object
+    and shape and shared by every caller; the lift of a payload into the
+    first generator is one rule for both."""
+
+    F49 = FieldSpec(7, 2)
+
+    def test_repeated_calls_share(self):
+        for spec in (F3, self.F49):
+            for first, again in [(BiPoly.gens(spec), BiPoly.gens(spec))] + [
+                    (WeylElement._generators(spec, n),
+                     WeylElement._generators(spec, n)) for n in (1, 2)]:
+                assert all(a is b for a, b in zip(first, again))
+
+    def test_other_vars_and_ranks_get_their_own(self):
+        xy, uv = BiPoly.gens(F3), BiPoly.gens(F3, ("U", "V"))
+        assert [g.vars for g in uv] == [("U", "V")] * 2
+        assert not any(a is b for a in xy for b in uv)
+        assert all(a is b for a, b in zip(uv, BiPoly.gens(F3, ("U", "V"))))
+        assert str(uv[0] + uv[1]) == "U+V"
+        a1, a2 = (WeylElement._generators(F3, n) for n in (1, 2))
+        assert (len(a1), len(a2)) == (2, 4)
+        assert [g.n for g in a1 + a2] == [1] * 2 + [2] * 4
+
+    def test_equal_field_built_separately(self):
+        twin = FieldSpec(3)
+        assert twin == F3 and twin is not F3
+        for spec in (twin, F3):
+            for gens in (BiPoly.gens(spec), WeylElement._generators(spec, 1),
+                         WeylElement._generators(spec, 2)):
+                assert all(g.ring is spec for g in gens)
+
+    @pytest.mark.parametrize("ring", [F3, F49, PolyRing(F3)], ids=str)
+    def test_from_unipoly(self, ring):
+        rng = random.Random(11)
+        for _ in range(6):
+            f = random_unipoly(rng, ring, 7)
+            lift = {(e, 0): c for e, c in f.coeffs.items()}
+            assert BiPoly.from_unipoly(f) == BiPoly(ring, lift)
+            assert WeylElement.from_unipoly(f) == WeylElement(ring, lift, 1)

@@ -1,5 +1,6 @@
-"""Checks on the package source itself: the public names, and no import
-that a module never uses."""
+"""Checks on the package source itself: the public names, no import that a
+module never uses, and no exponent key spelled outside the modules that
+define them."""
 
 import ast
 import os
@@ -128,3 +129,40 @@ def test_cli_import_loads_no_unneeded_stdlib():
         "gfq", "poly", "weyl", "theta", "autgrp", "resmap", "parsing",
         "suites", "cli")}
     assert package <= loaded, sorted(package - loaded)
+
+
+def _int_tuple(node) -> bool:
+    """Whether ``node`` is a tuple literal of int constants, as an exponent
+    key such as ``(0, 0)`` is spelled."""
+    return (isinstance(node, ast.Tuple) and bool(node.elts)
+            and all(isinstance(e, ast.Constant) and type(e.value) is int
+                    for e in node.elts))
+
+
+@pytest.mark.parametrize("name", ["autgrp", "cli", "parsing", "resmap",
+                                  "suites", "theta"])
+def test_no_exponent_key_literals(name):
+    """Exponent keys are spelled in poly.py and weyl.py, which define them
+    (the origin ``_origin``, the unit keys of ``_generators``): no other
+    module passes a tuple of int constants to ``coefficient`` or uses one
+    as a dict key or a set element."""
+    path = SOURCE / (name + ".py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            named = getattr(func, "attr", getattr(func, "id", None))
+            candidates = node.args if named == "coefficient" else []
+        elif isinstance(node, ast.Dict):
+            candidates = node.keys
+        elif isinstance(node, ast.DictComp):
+            candidates = [node.key]
+        elif isinstance(node, ast.Set):
+            candidates = node.elts
+        elif isinstance(node, ast.SetComp):
+            candidates = [node.elt]
+        else:
+            continue
+        found += ["%s:%d" % (path.name, c.lineno) for c in candidates
+                  if c is not None and _int_tuple(c)]
+    assert not found, "exponent keys spelled at %s" % ", ".join(found)
