@@ -13,8 +13,7 @@ from .gfq import FieldElement, FieldSpec
 from .parsing import (ParseError, parse_automorphism, parse_bipoly,
                       parse_field_element, parse_field_spec, parse_images,
                       parse_unipoly, parse_weyl, parse_word)
-from .poly import (BiPoly, PolyRing, UniPoly, jacobian, lucas_binomial,
-                   p_recompose)
+from .poly import BiPoly, PolyRing, UniPoly, lucas_binomial, p_recompose
 from .resmap import (ResResult, a1_affine_images, is_symplectic, res,
                      res_affine, res_inverse, res_n_affine,
                      res_n_affine_bruteforce, res_phi, symplectic_form,
@@ -23,7 +22,7 @@ from .suites import SUITES, SuiteReport, run_suite
 from .theta import (delta, delta_geometric, delta_iterated, pi_component,
                     pi_component_via_operators, theta, theta_inverse,
                     theta_inverse_oracle, xp_components)
-from .weyl import (WeylElement, verify_pth_power_identity,
+from .weyl import (WeylElement, jacobian, verify_pth_power_identity,
                    verify_pth_power_identity_2vars)
 
 __all__ = [

@@ -30,8 +30,8 @@ from functools import reduce
 from operator import attrgetter
 
 from .gfq import FieldElement, FieldSpec
-from .poly import BiPoly, UniPoly, jacobian
-from .weyl import WeylElement
+from .poly import BiPoly, UniPoly
+from .weyl import WeylElement, jacobian
 
 A1 = "A1"
 Z = "Z"
@@ -266,6 +266,10 @@ class AutImages(Record, _JacobianSlot):
         if not isinstance(img_x, kind) or not isinstance(img_y, kind):
             raise ValueError("%s images must be %s values"
                              % (target, kind.__name__))
+        for img in (img_x, img_y):
+            if img.ring is not field and img.ring != field:
+                raise ValueError("images must be over %s, not %s"
+                                 % (field, img.ring))
         # plain stores, not Record.__init__: realize and compose build one
         # pair per generator
         self.field = field

@@ -376,9 +376,6 @@ class FieldCodec:
                        for k, row in enumerate(spec._red)]
         self._low = (1 << CODE_STRIDE * n) - 1
         self._shifts = [CODE_STRIDE * i for i in reversed(range(n))]
-        # a folded coordinate is one coordinate plus n - 1 others times
-        # entries of _red (each at most p - 1)
-        self._fold_growth = 1 + (n - 1) * (p - 1)
 
     def check_stride(self, bound: int) -> None:
         """Raise OverflowError when ``bound``, an upper bound on the
@@ -389,14 +386,22 @@ class FieldCodec:
                 "coordinate bound %d of %s codes exceeds the %d-bit stride"
                 % (bound, self._elts[0].spec, CODE_STRIDE))
 
+    def bound(self, pairs: int, scale: int) -> int:
+        """An upper bound on the coordinates of a product, folded through
+        the modulus, in which at most ``pairs`` code pairs land on one key,
+        each operand coordinate (at most p - 1) multiplied by at most
+        ``scale``: a pair adds at most n products of two coordinates to a
+        coefficient of g, and the fold adds n - 1 further coefficients times
+        entries of FieldSpec._red (each at most p - 1)."""
+        p, n = self.p, self.n
+        return pairs * scale * n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
+
     def check_pairs(self, pairs: int, scale: int = 1) -> None:
-        """Guard a product in which at most ``pairs`` code pairs land on one
-        key, each operand coordinate (at most p - 1) multiplied by at most
-        ``scale``.  Codes of F_p have no stride to overflow."""
+        """Guard the stride of a product with at most ``pairs`` code pairs
+        on one key, each operand coordinate times at most ``scale`` (bound).
+        Codes of F_p have no stride to overflow."""
         if self.n > 1:
-            p = self.p
-            self.check_stride(pairs * scale * self.n * (p - 1) ** 2
-                              * self._fold_growth)
+            self.check_stride(self.bound(pairs, scale))
 
     def code(self, c: FieldElement) -> int:
         return self._codes[c.val]

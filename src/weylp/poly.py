@@ -35,11 +35,8 @@ result is built without the constructor's filtering pass.  UniPoly and
 BiPoly hand the kernel their operands; WeylElement hands it the divided
 derivatives of its commutation rule, taken on the packed keys and codes by
 _divided_derivative (its powers over a field run on packed rows instead,
-in weyl.py).  jacobian is one such coded pass too: P and Q are packed and
-coded once, the partials P_X, Q_Y, Q_X and P_Y times p - 1 (codes stay
-non-negative) are divided derivatives of order 1 of those, and the
-products P_X Q_Y and (p - 1) P_Y Q_X sum into one accumulator that is
-decoded once.
+in weyl.py).  The jacobian of K[X, Y] is the order-1 term of a Weyl
+commutator and runs in weyl.py's coded pass.
 
 Also here is the characteristic-p tooling everything above is built from:
 the derivative rule on elements, _Sparse._lower, which lowers one key slot
@@ -54,6 +51,9 @@ The coefficient ring is either a FieldSpec (elements: FieldElement, codec:
 gfq.FieldCodec) or a PolyRing over one (elements: UniPoly in ``t``), the
 latter so identities can be exercised over a reduced coefficient ring that
 is not a field.  Division is only ever asked of the field instance.
+random_unipoly draws a random polynomial over either in one order (the
+degree, the lower coefficients, a nonzero leading one), for the suites and
+for PolyRing.random_element alike.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
 # -- the shared sparse base -----------------------------------------------
 
 
-# (class, ring, *shape) -> _Sparse._generators(ring, *shape), for the last
+# (class, ring, shape) -> _Sparse._generators(ring, shape), for the last
 # ring object of each value that asked
 _GENERATORS: dict = {}
 
@@ -210,9 +210,10 @@ class _Sparse:
     @classmethod
     def _generators(cls, ring, *shape) -> tuple:
         """The generators in key-slot order, one unit key each (tuple keys
-        only), built once per class, ring object and shape argument (an
-        omitted shape, the default, is an argument of its own): no element
-        is changed in place, so every caller can share them."""
+        only), built once per class, ring object and shape (an omitted
+        shape is the constructor's default): no element is changed in
+        place, so every caller can share them."""
+        shape = shape or cls.__init__.__defaults__
         gens = _GENERATORS.get((cls, ring, *shape))
         if gens is None or gens[0].ring is not ring:
             zero, one = cls.zero(ring, *shape), ring.one()
@@ -578,26 +579,13 @@ class BiPoly(_Sparse):
         return self._substitute([img0, img1])
 
 
-def jacobian(P: BiPoly, Q: BiPoly) -> BiPoly:
-    """det of the matrix of formal partials, P_X Q_Y - P_Y Q_X, in one coded
-    pass: P and Q packed and coded once, each partial a divided derivative
-    of order 1 on the packed keys (P_Y times p - 1, so that codes stay
-    non-negative), both products summed into one accumulator and decoded
-    once."""
-    P._check_compatible(Q)
-    codec, p = P.ring.codec, P.ring.characteristic
-    w = _width(P.coeffs, Q.coeffs)
-    binom, zero = _lucas_tables(p)[0], codec.zero
-    a, b = _coded(codec, P.coeffs, w), _coded(codec, Q.coeffs, w)
-
-    def partial(coeffs: dict, slot: int, sign: int = 1) -> dict:
-        return _divided_derivative(coeffs, [(slot * w, 1)], w, binom, p, sign)
-
-    # each partial multiplies an operand coordinate by at most p - 1
-    codec.check_pairs(2 * min(len(a), len(b)), (p - 1) ** 2)
-    acc = _mul_into({}, partial(a, 0), partial(b, 1), zero)
-    _mul_into(acc, partial(a, 1, p - 1), partial(b, 0), zero)
-    return P._from_nonzero(codec.decode(acc, w, 2))
+def random_unipoly(rng, ring, max_deg: int, var: str = "x") -> UniPoly:
+    """Degree uniform in 0..max_deg, dense random coefficients, leading
+    coefficient nonzero (degree-0 draws may still be the zero polynomial)."""
+    deg = rng.randint(0, max_deg)
+    coeffs = {e: ring.random_element(rng) for e in range(deg)}
+    coeffs[deg] = ring.random_nonzero(rng) if deg else ring.random_element(rng)
+    return UniPoly(ring, coeffs, var)
 
 
 def p_recompose(parts: list[UniPoly], var: str = "x") -> UniPoly:
@@ -650,13 +638,12 @@ class PolyRing:
         raise TypeError("cannot coerce %r into %s" % (value, self))
 
     def random_element(self, rng, max_deg: int = 3) -> UniPoly:
-        deg = rng.randint(0, max_deg)
-        coeffs = {e: self.base.random_element(rng) for e in range(deg)}
-        if deg:
-            coeffs[deg] = self.base.random_nonzero(rng)
-        else:
-            coeffs[0] = self.base.random_element(rng)
-        return UniPoly(self.base, coeffs, self.var)
+        return random_unipoly(rng, self.base, max_deg, self.var)
+
+    def random_nonzero(self, rng) -> UniPoly:
+        """One random_element draw, with one in place of zero."""
+        f = self.random_element(rng)
+        return self.one() if f.is_zero() else f
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyRing):

@@ -15,7 +15,7 @@ from .autgrp import (A1, Z, AutWord, GenAffine, GenGamma, GenPhi, GenS, GenT,
                      Record, _payload_var, affine_forms, in_gamma, mat_mul,
                      realize)
 from .gfq import FieldSpec, UsageError
-from .poly import BiPoly, PolyRing, UniPoly
+from .poly import BiPoly, PolyRing, UniPoly, random_unipoly
 from .resmap import (a1_affine_images, is_symplectic, res, res_affine,
                      res_inverse, res_n_affine, res_n_affine_bruteforce)
 from .theta import theta, theta_inverse, theta_inverse_oracle
@@ -47,22 +47,8 @@ class SuiteReport(Record):
 
 
 # ----------------------------------------------------------------------
-# random input generators (all deterministic in the supplied rng)
-
-
-def random_unipoly(rng, ring, max_deg: int, var: str = "x") -> UniPoly:
-    """Degree uniform in 0..max_deg, dense random coefficients, leading
-    coefficient nonzero (degree-0 draws may still be the zero polynomial)."""
-    deg = rng.randint(0, max_deg)
-    if isinstance(ring, PolyRing):
-        coeffs = {e: ring.random_element(rng) for e in range(deg)}
-        coeffs[deg] = ring.random_element(rng)
-        if deg and coeffs[deg].is_zero():
-            coeffs[deg] = ring.one()
-        return UniPoly(ring, coeffs, var)
-    coeffs = {e: ring.random_element(rng) for e in range(deg)}
-    coeffs[deg] = ring.random_nonzero(rng) if deg else ring.random_element(rng)
-    return UniPoly(ring, coeffs, var)
+# random input generators (all deterministic in the supplied rng; random
+# unipolys are drawn by poly.random_unipoly)
 
 
 def random_xpoly2(rng, spec: FieldSpec, max_deg: int) -> BiPoly:

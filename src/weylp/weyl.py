@@ -17,12 +17,15 @@ packed keys (poly._divided_derivative), with binom(m, k) mod p =
 binom(m mod p, k) from a p x p table kept per p (k < p), scales the codes
 by k! and hands the pair to the shared product kernel poly._mul_into.
 Every k accumulates into one map of unreduced codes, which the codec
-reduces and unpacks in one pass at the end.  The
-product and the commutator [a, b] are one routine, WeylElement._coded_pass,
-and differ only in the orders they run: the order-0 terms of a*b and b*a
-are the same commutative product and cancel, so a commutator runs the
-orders k != 0 of a*b, then those of b*a with k! times p - 1 (codes stay
-non-negative), into one accumulator.
+reduces and unpacks in one pass at the end.  The product, the commutator
+[a, b] and the jacobian of K[X, Y] are one routine on coefficient maps,
+_bracket, and differ only in the orders they run: the order-0 terms of a*b
+and b*a are the same commutative product and cancel, so a commutator runs
+the orders k != 0 of a*b, then those of b*a with k! times p - 1 (codes
+stay non-negative), into one accumulator.  With X and Y read as x and d,
+the jacobian P_X Q_Y - P_Y Q_X is the order-1 term of [Q, P] (which is
+why res, keeping [d, x] = 1, lands in jacobian 1), and jacobian runs that
+order alone.
 
 Powers over a field, the brute-force p-th powers behind res and the
 identity checks, are a chain acc <- acc * a on rows instead (the operator-
@@ -117,37 +120,16 @@ class WeylElement(_Sparse):
     __mul__ = _Sparse.__mul__
 
     def _product(self, other: "WeylElement") -> "WeylElement":
-        return self._coded_pass(other, 0)
+        return self._from_nonzero(
+            _bracket(self.ring, self.n, self.coeffs, other.coeffs, 0))
 
     def commutator(self, other: "WeylElement") -> "WeylElement":
-        """[self, other] = self * other - other * self in one coded pass.
-        The order-0 terms of the two products are the same commutative
-        product and cancel, so only the orders k != 0 of each product run,
-        those of other * self with k! times p - 1 (that is, negated) so that
-        codes stay non-negative, into one accumulator."""
+        """[self, other] = self * other - other * self in one coded pass
+        (_bracket): the order-0 terms of the two products are the same
+        commutative product and cancel."""
         self._check_compatible(other)
-        return self._coded_pass(other, 1)
-
-    def _coded_pass(self, other: "WeylElement", first: int) -> "WeylElement":
-        """The orders k >= ``first`` (see _weyl_orders; the first is k = 0)
-        of self * other, and for first = 1 those of other * self negated, in
-        one pass on packed keys and coded coefficients: the product for
-        first = 0, the commutator for first = 1."""
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self._from_nonzero({})
-        codec, p, n = self.ring.codec, self.ring.characteristic, self.n
-        ta, tb = list(map(max, zip(*a))), list(map(max, zip(*b)))
-        w = (max(ta) + max(tb)).bit_length()
-        a, b = _coded(codec, a, w), _coded(codec, b, w)
-        ab = _weyl_orders(p, n, ta, tb)[first:]
-        ba = _weyl_orders(p, n, tb, ta)[1:] if first else []
-        codec.check_pairs((len(ab) + len(ba)) * min(len(a), len(b)),
-                          (p - 1) ** 2)
-        acc = _weyl_mul(codec, p, n, a, b, w, ab)
-        if first:
-            acc = _weyl_mul(codec, p, n, b, a, w, ba, acc, p - 1)
-        return self._from_nonzero(codec.decode(acc, w, 2 * n))
+        return self._from_nonzero(
+            _bracket(self.ring, self.n, self.coeffs, other.coeffs, 1))
 
     def _commutes(self, key) -> bool:
         # x_s^i d_s^j with i, j > 0 reorders: (x d)^2 = x^2 d^2 + x d
@@ -215,6 +197,39 @@ def _weyl_orders(p: int, n: int, ta: list, tb: list) -> list:
     The first is k = 0, the commutative product."""
     return list(_iterproduct(*[range(min(p, 1 + ta[n + s], 1 + tb[s]))
                                for s in range(n)]))
+
+
+def _bracket(ring, n: int, a: dict, b: dict, first: int,
+             last: int | None = None) -> dict:
+    """The orders k in [first, last) (in _weyl_orders' order) of a * b, and
+    for first = 1 those of b * a with k! times p - 1 (that is, negated, so
+    that codes stay non-negative), for the coefficient maps a, b of A_n
+    elements over ``ring``: both operands packed and coded once, every
+    order into one accumulator, decoded once.  The product for first = 0,
+    the commutator [a, b] for first = 1, the jacobian for n = 1, first = 1,
+    last = 2."""
+    if not a or not b:
+        return {}
+    codec, p = ring.codec, ring.characteristic
+    ta, tb = list(map(max, zip(*a))), list(map(max, zip(*b)))
+    w = (max(ta) + max(tb)).bit_length()
+    a, b = _coded(codec, a, w), _coded(codec, b, w)
+    ab = _weyl_orders(p, n, ta, tb)[first:last]
+    ba = _weyl_orders(p, n, tb, ta)[first:last] if first else []
+    codec.check_pairs((len(ab) + len(ba)) * min(len(a), len(b)),
+                      (p - 1) ** 2)
+    acc = _weyl_mul(codec, p, n, a, b, w, ab)
+    if first:
+        _weyl_mul(codec, p, n, b, a, w, ba, acc, p - 1)
+    return codec.decode(acc, w, 2 * n)
+
+
+def jacobian(P: BiPoly, Q: BiPoly) -> BiPoly:
+    """det of the matrix of formal partials, P_X Q_Y - P_Y Q_X: with X and Y
+    read as x and d, the order-1 term of the commutator [Q, P] of A_1, in
+    one coded pass (_bracket)."""
+    P._check_compatible(Q)
+    return P._from_nonzero(_bracket(P.ring, 1, Q.coeffs, P.coeffs, 1, 2))
 
 
 def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int, ks: list,
@@ -371,13 +386,10 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
                     part.append((j, i1 - k1, i2 - k2, v))
             if part:
                 orders.append((k1, k2, part))
-    # a coefficient of a step's output sums, per order, at most one pair per
-    # derivative term (at most |a| of them), each pair adding at most n
-    # products of an acc coordinate times its scalar (each below p) by a
-    # derivative coordinate (below p); the fold of g^n .. g^{2n-2} adds at
-    # most n - 1 further such sums times entries of FieldSpec._red (< p)
-    layout = _RowLayout(spec, len(orders) * len(coeffs) * spec.n
-                        * (p - 1) ** 3 * (1 + (spec.n - 1) * (p - 1)), slots)
+    # per order, a step lands at most one pair per term of a on an output
+    # coefficient, the acc coordinate times its scalar (below p)
+    layout = _RowLayout(spec, spec.codec.bound(len(orders) * len(coeffs),
+                                               p - 1), slots)
     # a band row's key is its d-key plus its band above the d-key's bits,
     # so a step sums the products of each (d-key, band) unshifted and
     # shifts each sum once, by D1 x-slots per band, into its output row

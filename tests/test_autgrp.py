@@ -587,3 +587,32 @@ class TestAffinePart:
         images[-1] = images[-1] + gens[0] * gens[-1]
         with pytest.raises(AssertionError, match="not affine"):
             _affine_part([g.coeffs for g in images], gens, F3.zero())
+
+
+class TestImagesOverAnotherField:
+    """AutImages refuses images over a field other than its own with a plain
+    ValueError, validated or not: the images are not wrong, they are in
+    the wrong algebra."""
+
+    F9 = FieldSpec(3, 2)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("target", [Z, A1])
+    def test_identity_over_f9_in_an_f3_pair(self, target, validate):
+        gens = (BiPoly.gens(self.F9) if target == Z
+                else WeylElement._generators(self.F9, 1))
+        with pytest.raises(ValueError, match="over p=3") as err:
+            AutImages(F3, target, *gens, validate=validate)
+        assert not isinstance(err.value, NotAnAutomorphismError)
+
+    def test_one_image_over_another_field(self):
+        X, _ = BiPoly.gens(F3)
+        with pytest.raises(ValueError) as err:
+            AutImages(F3, Z, X, BiPoly.gens(self.F9)[1], validate=False)
+        assert not isinstance(err.value, NotAnAutomorphismError)
+
+    def test_equal_field_built_separately(self):
+        twin = FieldSpec(3)
+        assert AutImages(F3, Z, *BiPoly.gens(twin)) == identity_images(F3, Z)
+        assert (AutImages(F3, A1, *WeylElement._generators(twin, 1))
+                == identity_images(F3, A1))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from weylp import (BiPoly, FieldSpec, PolyRing, UniPoly, WeylElement,
                    jacobian, lucas_binomial, p_recompose)
+from weylp import autgrp, poly
 from weylp.poly import falling_factorial_mod
 
 from weylp.suites import random_unipoly
@@ -473,3 +474,80 @@ class TestSharedGenerators:
             lift = {(e, 0): c for e, c in f.coeffs.items()}
             assert BiPoly.from_unipoly(f) == BiPoly(ring, lift)
             assert WeylElement.from_unipoly(f) == WeylElement(ring, lift, 1)
+
+
+class TestOmittedShape:
+    """An omitted shape asks for the constructor's default one: the same
+    generator objects, kept under one cache entry."""
+
+    def test_same_objects_as_the_default_shape(self):
+        spec = FieldSpec(11, 2)
+        for omitted, given_ in [
+                (WeylElement._generators(spec),
+                 WeylElement._generators(spec, 1)),
+                (WeylElement._generators(spec),
+                 (WeylElement.x_gen(spec), WeylElement.d_gen(spec))),
+                (BiPoly._generators(spec), BiPoly.gens(spec)),
+                (autgrp._gens(spec, autgrp.A1),
+                 WeylElement._generators(spec, 1)),
+                (autgrp._gens(spec, autgrp.Z), BiPoly.gens(spec))]:
+            assert len(omitted) == len(given_) == 2
+            assert all(a is b for a, b in zip(omitted, given_))
+
+    def test_every_cache_key_names_its_shape(self):
+        spec = FieldSpec(11, 2)
+        autgrp.identity_images(spec, autgrp.A1)
+        autgrp.identity_images(spec, autgrp.Z)
+        assert {key[2:] for key in poly._GENERATORS if key[1] == spec} == {
+            (1,), (("X", "Y"),)}
+        assert all(len(key) == 3 for key in poly._GENERATORS)
+
+
+# fixed-seed draws (seed 5): the suites' cases and the benchmark's inputs
+# are drawn in this order, so a change to it changes what they check
+DRAWS = [
+    (F3, 5, ["x^4+2*x^3+x^2+2*x+1", "x^3+2*x", "1", "x^3+2*x^2+x",
+             "2*x^4+2*x^2", "x^2+x"]),
+    (FieldSpec(13, 2), 3, [
+        "(6+10*g)*x^2+(10+12*g)*x+(7*g)", "(2+9*g)", "(1+g)*x+(10+12*g)",
+        "(5+7*g)*x+(2+2*g)",
+        "(1+2*g)*x^3+(9+10*g)*x^2+(6+7*g)*x+(11+4*g)", "(4+4*g)*x+3"]),
+    # the second draw's leading coefficient is a drawn zero made one
+    (PolyRing(F3), 3, [
+        "x^2+(t^3+2*t)*x+(t^2+2*t+2)", "x^3+(t^3+t^2+1)*x^2+t*x+(t+1)",
+        "(t^2+1)*x^3+t*x^2+t", "x+(2*t+1)",
+        "(2*t^2+t)*x^3+(t^2+2*t+2)*x^2+x+(2*t)",
+        "2*x^2+(2*t^3+2)*x+(2*t^3+t+2)"]),
+]
+
+
+class TestDrawOrder:
+    """random_unipoly and PolyRing.random_element draw one path: the
+    degree, the lower coefficients, then a nonzero leading coefficient
+    (any coefficient at degree 0); over K[t] a nonzero draw is one
+    random_element draw with one in place of zero."""
+
+    @pytest.mark.parametrize("ring, max_deg, draws", DRAWS,
+                             ids=[str(ring) for ring, _, _ in DRAWS])
+    def test_random_unipoly(self, ring, max_deg, draws):
+        rng = random.Random(5)
+        assert [str(random_unipoly(rng, ring, max_deg))
+                for _ in range(6)] == draws
+
+    def test_polyring_random_element(self):
+        rng = random.Random(5)
+        assert [str(PolyRing(F3).random_element(rng)) for _ in range(6)] == [
+            "t^2+t+2", "t^3+2*t", "1", "t^3+2*t^2+t", "t", "t^3+t^2+1"]
+        rng = random.Random(5)
+        assert [str(PolyRing(FieldSpec(13, 2), "s").random_element(rng, 2))
+                for _ in range(4)] == [
+            "(11+12*g)*s^2+(7*g)*s+(5*g)", "(12+4*g)*s^2+(2+9*g)*s+7",
+            "(3+2*g)*s^2+(1+3*g)*s+g", "(12+4*g)*s+(3+9*g)"]
+
+    def test_random_nonzero_is_a_draw_with_one_for_zero(self):
+        ring = PolyRing(F2)
+        drawn, nonzero = random.Random(9), random.Random(9)
+        for _ in range(200):
+            f = ring.random_element(drawn)
+            assert ring.random_nonzero(nonzero) == (
+                ring.one() if f.is_zero() else f)

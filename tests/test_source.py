@@ -166,3 +166,43 @@ def test_no_exponent_key_literals(name):
         found += ["%s:%d" % (path.name, c.lineno) for c in candidates
                   if c is not None and _int_tuple(c)]
     assert not found, "exponent keys spelled at %s" % ", ".join(found)
+
+
+def _scoped(tree):
+    """(dotted name of the innermost enclosing class or function, "" at
+    module level; node) for every node below ``tree``."""
+    todo = [("", tree)]
+    while todo:
+        scope, node = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + "." + child.name if scope else child.name
+            yield inner, child
+            todo.append((inner, child))
+
+
+def test_one_coded_pass():
+    """Every product reaches the kernel in one coded pass: _mul_into is
+    named only in the two polynomial _products and weyl._weyl_mul, which
+    only weyl._bracket names (the Weyl product, the commutator and the
+    jacobian), and codes are decoded only there (_row_power's rows are
+    decoded by their own layout, not a codec)."""
+    allowed = {
+        "_mul_into": {"poly.UniPoly._product", "poly.BiPoly._product",
+                      "weyl._weyl_mul"},
+        "_weyl_mul": {"weyl._bracket"},
+        "decode": {"poly.UniPoly._product", "poly.BiPoly._product",
+                   "weyl._bracket"},
+    }
+    found = {name: set() for name in allowed}
+    for path in MODULES:
+        for scope, node in _scoped(ast.parse(path.read_text(), str(path))):
+            where = "%s.%s" % (path.stem, scope)
+            if isinstance(node, ast.Name) and node.id in found:
+                found[node.id].add(where)
+            elif (isinstance(node, ast.Attribute) and node.attr == "decode"
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id == "layout")):
+                found["decode"].add(where)
+    assert found == allowed
