@@ -283,7 +283,7 @@ def _spec_int(seen: dict, key: str) -> int:
         raise UsageError("%s must be an integer, got %r" % (key, seen[key]))
 
 
-_WORD_GEN = re.compile(r"\s*([A-Za-z]+)")
+_WORD_GEN = re.compile(r"\s*([A-Za-z]*)")
 
 
 def _affine_gen(body: str, spec: FieldSpec, start: int) -> GenAffine:
@@ -320,12 +320,11 @@ def parse_word(text: str, spec: FieldSpec, target: str) -> AutWord:
     pos = 0
     while pos < len(text):
         m = _WORD_GEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
+        name, pos = m.group(1), m.end()
+        if not name:
+            if pos < len(text):
                 raise ParseError("expected a generator name", pos)
             break
-        name = m.group(1)
-        pos = m.end()
         if name == "s":
             gens.append(GenS())
             continue
@@ -352,18 +351,18 @@ def parse_word(text: str, spec: FieldSpec, target: str) -> AutWord:
 def parse_images(text: str, spec: FieldSpec, target: str) -> AutImages:
     """Image pair literal (exprX ; exprY), not validated."""
     stripped = text.strip()
+    # where the pair starts in text: after the leading blanks
+    first = len(text) - len(text.lstrip())
     if not stripped.startswith("(") or not stripped.endswith(")"):
-        raise ParseError("image pair must look like (exprX; exprY)", 0)
+        raise ParseError("image pair must look like (exprX; exprY)", first)
     body = stripped[1:-1]
     if body.count(";") != 1:
-        raise ParseError("image pair needs exactly one ';'", 0)
+        raise ParseError("image pair needs exactly one ';'", first)
     left, right = body.split(";")
-    # where each half starts in text: after the leading blanks and the "("
-    start = len(text) - len(text.lstrip()) + 1
     grammar = (_weyl_grammar(spec, 1) if target == A1
                else _bipoly_grammar(spec, ("X", "Y")))
-    img_x = _evaluate(left, *grammar, start)
-    img_y = _evaluate(right, *grammar, start + len(left) + 1)
+    img_x = _evaluate(left, *grammar, first + 1)
+    img_y = _evaluate(right, *grammar, first + len(left) + 2)
     return AutImages(spec, target, img_x, img_y, validate=False)
 
 

@@ -1,9 +1,11 @@
 """Randomized verification suites and the deterministic input generators
 behind them.  A suite is one check per case, ``case(spec, rng, i)``: it
-draws case i's input from the seeded ``rng`` and returns None when the
-check passes, else the input in re-parseable form (resn-affine: the four
-A_2 images of its affine map, joined by "; ", each read back by
-parse_weyl).
+draws all of case i's input from the seeded ``rng`` before its first
+check, so that no case's input depends on an earlier outcome, and returns
+None when the check passes, else the failing input in re-parseable form
+(resn-affine: the four A_2 images of its affine map, joined by "; ", each
+read back by parse_weyl; relations: the first failing pair of generators,
+a Z word read back by parse_word).
 SUITES maps each suite name to its check, and run_suite runs ``count``
 cases into a SuiteReport: how many passed and the failing inputs.  The CLI
 ``fuzz`` command and the acceptance tests are both built on these.
@@ -11,11 +13,11 @@ cases into a SuiteReport: how many passed and the failing inputs.  The CLI
 
 from __future__ import annotations
 
-from .autgrp import (A1, Z, AutWord, GenAffine, GenGamma, GenPhi, GenS, GenT,
+from .autgrp import (A1, Z, _REWRITES, AutWord, GenAffine, GenPhi, GenS, GenT,
                      Record, _payload_var, affine_forms, in_gamma, mat_mul,
                      realize)
 from .gfq import FieldSpec, UsageError
-from .poly import BiPoly, PolyRing, UniPoly, random_unipoly
+from .poly import BiPoly, PolyRing, random_unipoly
 from .resmap import (a1_affine_images, is_symplectic, res, res_affine,
                      res_inverse, res_n_affine, res_n_affine_bruteforce)
 from .theta import theta, theta_inverse, theta_inverse_oracle
@@ -204,30 +206,25 @@ def resn_affine(spec: FieldSpec, rng, i):
 
 
 def relations(spec: FieldSpec, rng, i):
-    """The five generator relations, verified at image level:
-    s t_mu = t_{1/mu} s,  s gamma_mu = gamma_mu t_{1/mu} s,
-    phi t_mu and phi gamma_mu rescalings,  s^2 = t_{-1}."""
+    """Every generator relation of autgrp._REWRITES, verified at image
+    level: the pair (a, b) and its rewrite realize the same automorphism of
+    Z.  One pair per rule is drawn before the first check: t and gamma take
+    a nonzero payload, phi a polynomial of degree <= 4."""
 
-    def images(*gens):
-        return realize(AutWord(spec, Z, list(gens)))
+    def draw(kind):
+        if kind is GenS:
+            return GenS()
+        if kind is GenPhi:
+            return GenPhi(random_unipoly(rng, spec, 4, "X"))
+        return kind(spec.random_nonzero(rng))
 
-    mu = spec.random_nonzero(rng)
-    lam = spec.random_element(rng)
-    k = rng.randint(0, 4)
-    phi = GenPhi(UniPoly.monomial(spec, k, lam, "X")
-                 if not lam.is_zero() else UniPoly.zero(spec, "X"))
-    mu_inv = mu.inv()
-    checks = [
-        images(GenS(), GenT(mu)) == images(GenT(mu_inv), GenS()),
-        images(GenS(), GenGamma(mu))
-        == images(GenGamma(mu), GenT(mu_inv), GenS()),
-        images(phi, GenT(mu))
-        == images(GenT(mu), GenPhi(phi.payload.scale(mu_inv ** (k + 1)))),
-        images(phi, GenGamma(mu))
-        == images(GenGamma(mu), GenPhi(phi.payload.scale(mu_inv ** k))),
-        images(GenS(), GenS()) == images(GenT(-spec.one())),
-    ]
-    return None if all(checks) else "mu=%s lambda=%s i=%d" % (mu, lam, k)
+    one = spec.one()
+    cases = [(rule, [draw(a), draw(b)]) for (a, b), rule in _REWRITES.items()]
+    for rule, pair in cases:
+        if (realize(AutWord(spec, Z, pair))
+                != realize(AutWord(spec, Z, rule(*pair, one)))):
+            return str(AutWord(spec, Z, pair))
+    return None
 
 
 SUITES = {

@@ -51,9 +51,15 @@ def theta(f: UniPoly) -> UniPoly:
     return out
 
 
-def _field_only(f: UniPoly, op: str):
+def _field_only(f: UniPoly, op: str, power: int) -> int:
+    """The characteristic p of f's ring, once the operator ``op`` has
+    refused a ring that is not a field and a support with an exponent not
+    divisible by p^power."""
     if not f.ring.is_field:
         raise ValueError("%s requires a perfect-field coefficient ring" % op)
+    p = _char(f)
+    _require_support(f, p ** power, "argument")
+    return p
 
 
 def xp_components(g: UniPoly) -> list[UniPoly]:
@@ -101,9 +107,7 @@ def pi_component_via_operators(g: UniPoly, i: int) -> UniPoly:
 def delta(g: UniPoly) -> UniPoly:
     """d^[(p-1)p] F^{-1} on K[x^{p^2}]: reading g = sum a_I x^{p^2 I}, the
     image is sum a_{p-1+pI}^{1/p} x^{p^2 I}."""
-    p = _char(g)
-    _field_only(g, "delta")
-    _require_support(g, p * p, "argument")
+    p = _field_only(g, "delta", 2)
     out = {}
     for e, c in g.coeffs.items():
         idx = e // (p * p)
@@ -119,9 +123,7 @@ def delta_iterated(g: UniPoly, n: int) -> UniPoly:
         raise ValueError("iterate count must be >= 0")
     if n == 0:
         return g
-    p = _char(g)
-    _field_only(g, "delta_iterated")
-    _require_support(g, p * p, "argument")
+    p = _field_only(g, "delta_iterated", 2)
     base = p**n - 1
     out = {}
     for e, c in g.coeffs.items():
@@ -137,9 +139,7 @@ def delta_geometric(g: UniPoly) -> UniPoly:
     """sum_{j >= 0} delta^j(g); finite because delta is locally nilpotent.
     The number of nonzero terms is at most 1 + log_p(1 + deg) where deg is
     the degree of g in x^{p^2} (asserted)."""
-    p = _char(g)
-    _field_only(g, "delta_geometric")
-    _require_support(g, p * p, "argument")
+    p = _field_only(g, "delta_geometric", 2)
     total = UniPoly.zero(g.ring, g.var)
     cur = g
     terms = 0
@@ -162,9 +162,7 @@ def delta_geometric(g: UniPoly) -> UniPoly:
 
 def theta_inverse(g: UniPoly) -> UniPoly:
     """The unique f with theta(f) = g, by the closed formula."""
-    p = _char(g)
-    _field_only(g, "theta_inverse")
-    _require_support(g, p, "argument")
+    p = _field_only(g, "theta_inverse", 1)
     mu = xp_components(g)
     s = delta_geometric(mu[p - 1])
     nu = xp_components(s.inv_frobenius())  # pi_i F^{-1}(S), i < p
@@ -183,9 +181,7 @@ def theta_inverse_oracle(g: UniPoly) -> UniPoly:
     theta multiplies degrees by p and raises leading coefficients to the
     p-th power, so the leading monomial of f is forced; subtract its theta
     image and recurse."""
-    p = _char(g)
-    _field_only(g, "theta_inverse_oracle")
-    _require_support(g, p, "argument")
+    p = _field_only(g, "theta_inverse_oracle", 1)
     rest = g
     out = UniPoly.zero(g.ring, g.var)
     while not rest.is_zero():

@@ -30,16 +30,19 @@ order alone.
 Powers over a field, the brute-force p-th powers behind res and the
 identity checks, are a chain acc <- acc * a on rows instead (the operator-
 by-blocks view of van der Hoeven, "FFT-like multiplication of linear
-differential operators", 2002, with Kronecker packing).  A row of acc is
-keyed by its d-exponents and holds its x-polynomial as one int, one x-slot
-per x-exponent (Kronecker in x1 and x2 for A_2), each x-slot holding the
-2n - 1 coefficients in g of an unreduced product of F_{p^n} codes at a
-sub-slot width proven wide enough for the chain.  The divided x-derivatives
-of a are packed once, in A_2 split into x2-bands (one short row of x1-slots
-per d-exponent and x2-exponent, so that the row of an affine form
-a*x1 + b*x2 + c is two short ints, not one mostly empty one); each step
-costs one bigint product per pair of rows, one shift per output row and
-band, and one whole-row fold and mod-p reduction per output row (a Barrett
+differential operators", 2002, with Kronecker packing).  The chain has one
+layout, A_2's: an A_1 element runs as A_2 with x2 = d2 = 0, and the orders
+k of a step are _weyl_orders', as in _bracket, with acc's d-degrees taken
+at the final power's.  A row of acc is keyed by its d-exponents and holds
+its x-polynomial as one int, one x-slot per x-exponent (Kronecker in x1 and
+x2), each x-slot holding the 2n - 1 coefficients in g of an unreduced
+product of F_{p^n} codes at a sub-slot width proven wide enough for the
+chain.  The divided x-derivatives of a are packed once, split into
+x2-bands (one short row of x1-slots per d-exponent and x2-exponent, so
+that the row of an affine form a*x1 + b*x2 + c is two short ints, not one
+mostly empty one; without x2 there is one band); each step costs one bigint
+product per pair of rows, one shift per output row and band above 0, and
+one whole-row fold and mod-p reduction per output row (a Barrett
 step on every sub-slot at once), and the rows are decoded once at the end.
 Over K[t] a power is plain repeated products; either chain starts after
 the argument check and the k = 0, zero and single-term cases of the
@@ -342,50 +345,45 @@ def _row_scalars(p: int, k1: int, k2: int) -> list:
 def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
     """The coefficients of a^k, k >= 1, for the A_n element a over the field
     ``spec`` with (nonzero) ``coeffs``, as a chain of k - 1 steps
-    acc <- acc * a on rows.
+    acc <- acc * a on rows; an A_1 element runs as A_2 with x2 = d2 = 0.
 
     A row of acc is keyed by its packed d-exponent vector and holds its
     x-polynomial as one int (_RowLayout); x1^i1 x2^i2 sits in x-slot
     i1 + D1 * i2, with D1 - 1 the final power's degree in x1, so that no
-    product wraps (in A_1, i2 = 0).  Per order k of the commutation rule,
-    the divided x-derivative of a is packed once per chain, in bands: a
-    row of it is keyed by its d-exponents and its x2-exponent (the band)
-    and holds only its x1-slots.  A step multiplies each acc row by
-    k! binom(j, k) mod p (a scalar, as it depends only on the row's
-    d-exponents j), then by each band row of that derivative, one bigint
-    product per row pair; it shifts the sum of each output d-key and band
-    up D1 x-slots per band and reduces each output row once.  The rows are
-    decoded to the field's elements at the end."""
+    product wraps.  Per order k of the commutation rule (_weyl_orders, with
+    acc's d-degrees bounded by the final power's), the divided
+    x-derivative of a is packed once per chain, in bands: a row of it is
+    keyed by its d-exponents and its x2-exponent (the band) and holds only
+    its x1-slots.  A step multiplies each acc row by k! binom(j, k) mod p
+    (a scalar, as it depends only on the row's d-exponents j), then by each
+    band row of that derivative, one bigint product per row pair; it
+    shifts the sum of each output d-key and band up D1 x-slots per band
+    (a pass taken only when a has a band above 0) and reduces each output
+    row once.  The rows are decoded to the field's elements at the end."""
     p = spec.p
     binom = _lucas_tables(p)[0]
     codes, value = spec.codec._codes, spec.codec.value
+    pad = (0,) * (2 - n)
+    coeffs = {key[:n] + pad + key[n:] + pad: c for key, c in coeffs.items()}
     top = list(map(max, zip(*coeffs)))
     # the final power's x-degrees bound every row of the chain
     d1 = k * top[0] + 1
-    slots = d1 * (k * top[1] + 1) if n == 2 else d1
-    wd = (k * max(top[n:])).bit_length() or 1       # bits per d-exponent
+    slots = d1 * (k * top[1] + 1)
+    wd = (k * max(top[2:])).bit_length() or 1       # bits per d-exponent
     dmask = (1 << wd) - 1
-    if n == 1:
-        terms = [(i, 0, j, c.val) for (i, j), c in coeffs.items()]
-        ranges = (range(min(p, top[0] + 1, k * top[1] + 1)), (0,))
-    else:
-        terms = [(i1, i2, j1 | j2 << wd, c.val)
-                 for (i1, i2, j1, j2), c in coeffs.items()]
-        ranges = (range(min(p, top[0] + 1, k * top[2] + 1)),
-                  range(min(p, top[1] + 1, k * top[3] + 1)))
+    terms = [(i1, i2, j1 | j2 << wd, c.val)
+             for (i1, i2, j1, j2), c in coeffs.items()]
     # the divided x-derivatives of a, as (d-key, x1-slot, band, element
-    # index) terms per order; binom(j, k) vanishes for j < k, so an order
-    # above a d-degree the chain reaches never contributes
+    # index) terms per order
     orders = []
-    for k2 in ranges[1]:
-        for k1 in ranges[0]:
-            part = []
-            for i1, i2, j, v in terms:
-                f = binom[i1 % p][k1] * binom[i2 % p][k2]
-                if f and (f == 1 or (v := value(codes[v] * f))):
-                    part.append((j, i1 - k1, i2 - k2, v))
-            if part:
-                orders.append((k1, k2, part))
+    for k1, k2 in _weyl_orders(p, 2, [k * t for t in top], top):
+        part = []
+        for i1, i2, j, v in terms:
+            f = binom[i1 % p][k1] * binom[i2 % p][k2]
+            if f and (f == 1 or (v := value(codes[v] * f))):
+                part.append((j, i1 - k1, i2 - k2, v))
+        if part:
+            orders.append((k1, k2, part))
     # per order, a step lands at most one pair per term of a on an output
     # coefficient, the acc coordinate times its scalar (below p)
     layout = _RowLayout(spec, spec.codec.bound(len(orders) * len(coeffs),
@@ -393,11 +391,11 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
     # a band row's key is its d-key plus its band above the d-key's bits,
     # so a step sums the products of each (d-key, band) unshifted and
     # shifts each sum once, by D1 x-slots per band, into its output row
-    bandbit, band_slots = n * wd, layout.X * d1
+    bandbit, band_slots = 2 * wd, layout.X * d1
     jmask = (1 << bandbit) - 1
 
     def unband(out: dict) -> dict:
-        if n == 1:
+        if not top[1]:
             return out
         rows: dict = {}
         for key, raw in out.items():
@@ -433,13 +431,13 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
         acc = {j: row for j, raw in unband(out).items()
                if (row := reduce(raw))}
     elts = spec._elts
+    xkeys = [(x % d1, x // d1)[:n] for x in range(slots)]
     result = {}
     for j, row in acc.items():
-        dkey = (j,) if n == 1 else (j & dmask, j >> wd)
+        dkey = (j & dmask, j >> wd)[:n]
         for x, v in enumerate(layout.decode(row)):
             if v:
-                xkey = (x,) if n == 1 else (x % d1, x // d1)
-                result[xkey + dkey] = elts[v]
+                result[xkeys[x] + dkey] = elts[v]
     return result
 
 

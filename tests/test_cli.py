@@ -7,9 +7,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from weylp import (A1, SUITES, FieldSpec, WeylElement, a1_affine_images,
-                   is_symplectic, parse_weyl, parse_word, realize, run_suite)
-from weylp.autgrp import _affine_part, affine_forms
+from weylp import (A1, SUITES, Z, AutWord, FieldSpec, GenS, GenT, WeylElement,
+                   a1_affine_images, is_symplectic, parse_weyl, parse_word,
+                   realize, run_suite)
+from weylp.autgrp import _REWRITES, _affine_part, affine_forms
 from weylp.cli import MAX_COUNT, main
 from weylp.suites import random_sl2, res2_affine
 
@@ -207,8 +208,7 @@ FAILING_CASES = {
                      "2*x1+2*d1+2*d2+1; 2*x1+2*x2+d1+2*d2+2; 2*d1+d2+2; 2*d2",
                      "x1+x2+d1+2; x2; d1+1; 2*d1+d2+2"]),
     "relations": ("realize", lambda word: object(),
-                  ["mu=1 lambda=2 i=0", "mu=2 lambda=0 i=3",
-                   "mu=2 lambda=1 i=3"]),
+                  ["t[1] t[1]", "t[2] t[1]", "t[2] t[2]"]),
 }
 
 
@@ -240,6 +240,50 @@ def test_resn_affine_failures_parse_back():
         assert is_symplectic(matrix, spec)
         assert "; ".join(map(str, affine_forms(gens, matrix,
                                                translation))) == text
+
+
+class TestRelationsTable:
+    """The relations suite checks the rewrite table that normalize_word
+    applies, entry by entry, and reports a failing pair as a Z word."""
+
+    @pytest.mark.parametrize("kinds", list(_REWRITES),
+                             ids=lambda kinds: "%s-%s" % tuple(
+                                 kind.__name__[3:] for kind in kinds))
+    def test_wrong_rule_fails(self, kinds, monkeypatch):
+        spec = FieldSpec(5)
+        rule = _REWRITES[kinds]
+        # s changes every automorphism, so the rule is wrong on every pair
+        monkeypatch.setitem(_REWRITES, kinds,
+                            lambda a, b, one: rule(a, b, one) + [GenS()])
+        report = run_suite("relations", spec, 4, random.Random(2))
+        assert report.passes == 0
+        for text in report.failures:
+            pair = parse_word(text, spec, Z).gens
+            assert tuple(map(type, pair)) == kinds
+            assert str(AutWord(spec, Z, pair)) == text
+
+    def test_scaling_error_found(self, monkeypatch):
+        """A merge that divides where it should multiply is right only when
+        the second payload squares to one; the suite finds the others."""
+        spec = FieldSpec(5)
+        monkeypatch.setitem(_REWRITES, (GenT, GenT),
+                            lambda a, b, one: [GenT(a.mu * b.mu.inv())])
+        report = run_suite("relations", spec, 10, random.Random(2))
+        assert 0 < report.passes < 10
+        for text in report.failures:
+            a, b = parse_word(text, spec, Z).gens
+            assert isinstance(a, GenT) and b.mu * b.mu != spec.one()
+
+    def test_draws_before_checks(self, monkeypatch):
+        """Each case draws all its pairs first: the generator ends in the
+        same state whether every check passes or every check fails."""
+        spec = FieldSpec(5)
+        passing = random.Random(3)
+        assert run_suite("relations", spec, 3, passing).passes == 3
+        monkeypatch.setattr("weylp.suites.realize", lambda word: object())
+        failing = random.Random(3)
+        assert run_suite("relations", spec, 3, failing).passes == 0
+        assert passing.random() == failing.random()
 
 
 class TestCountMaximum:

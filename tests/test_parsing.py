@@ -138,6 +138,23 @@ class TestWordsAndImages:
         with pytest.raises(ValueError):
             parse_word("t[0]", F3, Z)
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_word, "s 1", "expected a generator name (at position 2)"),
+        (parse_word, "s  $", "expected a generator name (at position 3)"),
+        (parse_word, " 1", "expected a generator name (at position 1)"),
+        (parse_images, "  (x;d",
+         "image pair must look like (exprX; exprY) (at position 2)"),
+        (parse_images, " (X;Y;X)",
+         "image pair needs exactly one ';' (at position 1)"),
+    ], ids=["word-after-s", "word-two-blanks", "word-leading-blank",
+            "images-shape", "images-semicolons"])
+    def test_errors_point_past_blanks(self, parse, text, message):
+        """A word or image pair that goes wrong after blanks is reported
+        at its first non-blank character, not where the blanks start."""
+        with pytest.raises(ParseError) as info:
+            parse(text, F3, Z)
+        assert str(info.value) == message
+
     def test_images(self):
         img = parse_images("(Y; -X)", F3, Z)
         assert img == realize(AutWord(F3, Z, [GenS()]))
