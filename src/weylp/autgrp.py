@@ -234,9 +234,10 @@ class AutWord(Record):
 
 
 class _JacobianSlot:
-    """The slot where AutImages keeps its jacobian once computed, outside
-    AutImages.__slots__, so that equality, printing, copies and pickles,
-    which read those fields only, never see it."""
+    """The slot where AutImages keeps its jacobian on Z, or its bracket
+    [d', x'] on A_1, once computed, outside AutImages.__slots__, so that
+    equality, printing, copies and pickles, which read those fields only,
+    never see it."""
 
     __slots__ = ("_jacobian",)
 
@@ -244,15 +245,17 @@ class _JacobianSlot:
 class AutImages(Record, _JacobianSlot):
     """An automorphism (or, when validate=False, a mere endomorphism) given
     by the images of the two algebra generators: BiPoly pair on Z, Weyl
-    element pair on A_1.  On Z the jacobian is computed on first use and
-    kept with the images it was computed from: validate, jacobian() and
-    in_gamma all read it, and a pair whose images are reassigned computes
-    it again."""
+    element pair on A_1.  The value that validation tests, the jacobian on
+    Z and the bracket [d', x'] on A_1, is computed on first use and kept
+    with the images it was computed from: validate, jacobian() and in_gamma
+    all read it, so a pair is validated by one jacobian or one commutator
+    however often it is asked, and a pair whose images are reassigned
+    computes it again."""
 
     __slots__ = ("field", "target", "img_x", "img_y")
     # copies and pickles restore the four fields as they are: an
     # endomorphism built with validate=False is not validated again, and
-    # a kept jacobian is not carried over
+    # a kept jacobian or bracket is not carried over
     __reduce__ = object.__reduce__
 
     def __getstate__(self):
@@ -283,25 +286,30 @@ class AutImages(Record, _JacobianSlot):
         """For Z: the jacobian is a nonzero constant; for A_1: the images
         preserve the defining relation [d, x] = 1."""
         if self.target == Z:
-            jac = self.jacobian()
+            jac = self._kept()
             if jac.degree != 0:
                 raise NotAnAutomorphismError(
                     "jacobian %s is not a nonzero constant" % jac)
-        else:
-            one = WeylElement.one(self.field)
-            if self.img_y.commutator(self.img_x) != one:
-                raise NotAnAutomorphismError(
-                    "images do not preserve the relation [d, x] = 1")
+        elif self._kept() != WeylElement.one(self.field):
+            raise NotAnAutomorphismError(
+                "images do not preserve the relation [d, x] = 1")
         return self
+
+    def _kept(self):
+        """The value validation tests, computed once per image pair: on Z
+        the jacobian of (P, Q), the order-1 term of [Q, P]; on A_1 the
+        whole commutator [Q, P] = [d', x']."""
+        P, Q = self.img_x, self.img_y
+        kept = getattr(self, "_jacobian", (None, None))
+        if kept[0] is not P or kept[1] is not Q:
+            value = jacobian(P, Q) if self.target == Z else Q.commutator(P)
+            kept = self._jacobian = (P, Q, value)
+        return kept[2]
 
     def jacobian(self) -> BiPoly:
         if self.target != Z:
             raise ValueError("jacobian is defined on Z images")
-        P, Q = self.img_x, self.img_y
-        kept = getattr(self, "_jacobian", (None, None))
-        if kept[0] is not P or kept[1] is not Q:
-            kept = self._jacobian = (P, Q, jacobian(P, Q))
-        return kept[2]
+        return self._kept()
 
     @property
     def degree(self) -> int:
@@ -333,23 +341,30 @@ def _check_affine(matrix, translation, size: int) -> None:
             "translation entries" % (size, size, size, size))
 
 
+def _affine_keys(gens) -> list:
+    """The unit keys of the generators ``gens``, one per generator, then the
+    origin: the keys of an affine image's coefficient map."""
+    return [key for g in gens for key in g.coeffs] + [gens[0]._origin]
+
+
 def affine_forms(gens, matrix, translation) -> list:
     """The images sum_j A_ij g_j + a_i of the generators g_j under the affine
-    map with matrix A and translation a."""
+    map with matrix A and translation a (entries read in the generators'
+    ring), each built as one coefficient map on _affine_keys."""
     _check_affine(matrix, translation, len(gens))
-    one = gens[0] ** 0
-    return [sum((g.scale(c) for g, c in zip(gens, row)), one.scale(a))
-            for row, a in zip(matrix, translation)]
+    keys, coerce = _affine_keys(gens), gens[0].ring.coerce
+    return [gens[0]._from_nonzero(
+        {key: c for key, c in zip(keys, map(coerce, (*row, a)))
+         if not c.is_zero()})
+        for row, a in zip(matrix, translation)]
 
 
 def _affine_part(maps, gens, zero) -> tuple:
     """The inverse of affine_forms: the matrix and translation of the affine
     map whose images of the generators ``gens`` have the coefficient maps
-    ``maps``, read at the unit keys of ``gens`` and at the origin, with
-    ``zero`` where a key is absent.  Raises AssertionError on any other
-    key."""
-    # the unit keys, one per generator, then the origin
-    keys = [key for g in gens for key in g.coeffs] + [gens[0]._origin]
+    ``maps``, read at _affine_keys, with ``zero`` where a key is absent.
+    Raises AssertionError on any other key."""
+    keys = _affine_keys(gens)
     rows = []
     for m in maps:
         if set(m) - set(keys):

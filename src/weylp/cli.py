@@ -7,8 +7,11 @@ it made; the command prints that line (or, with --json, a stable JSON object
 holding both).  Every command takes --field "p=<int>[,n=<int>,mod=<poly in
 g>]".  Exit codes: 0 success; 1 a failed check of a command whose checks
 are verdicts (pow-check, theta-inv, res-inv, decompose, fuzz) or a domain
-failure (not an automorphism, jacobian not 1, bad support); 2 usage or
-syntax errors.
+failure (not an automorphism, either argument of compose included;
+jacobian not 1; bad support); 2 usage or syntax errors; 3 an internal
+check of the library failed (an AssertionError, such as the two
+centrality criteria disagreeing), reported on one line that echoes the
+command.
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ def _decompose(args, spec):
 
 
 def _compose(args, spec):
-    a = parse_automorphism(args.aut_a, spec, args.target)
-    b = parse_automorphism(args.aut_b, spec, args.target)
+    # image pairs parse unvalidated, and compose takes endomorphisms
+    a, b = (parse_automorphism(text, spec, args.target).validate()
+            for text in (args.aut_a, args.aut_b))
     return str(compose(a, b)), {}
 
 
@@ -171,6 +175,12 @@ def main(argv=None) -> int:
         # UsageError covers ParseError
         print("error: %s" % exc, file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
+    except AssertionError as exc:
+        import shlex    # here only, as json: no other exit pays its load
+        command = shlex.join(sys.argv[1:] if argv is None else argv)
+        print("error: internal check failed: %s (input: %s)"
+              % (exc, command), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -188,12 +188,17 @@ class FieldElement:
         return self * other.inv()
 
     def __pow__(self, e: int) -> "FieldElement":
+        """self^e; a negative e inverts first.  Over F_p the built-in
+        three-argument pow on the residue; over F_{p^n}, square and
+        multiply on reduced codes."""
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
             return self.inv() ** (-e)
-        # square and multiply on reduced codes; the code of one is 1
         spec = self.spec
+        if spec.n == 1:
+            return spec._elts[pow(self.val, e, spec.p)]
+        # the code of one is 1
         codes, value = spec.codec._codes, spec.codec.value
         result, base = 1, codes[self.val]
         while e:

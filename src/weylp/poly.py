@@ -360,10 +360,12 @@ class _Sparse:
         """Image under the ring homomorphism sending key slot k to
         images[k] (elements of any algebra over the same coefficient ring,
         e.g. polynomials or Weyl elements).  Powers of each image are
-        computed once and shared by all terms; a term multiplies its powers
-        in slot order, which matters when the images do not commute.  The
-        unit is built only for a constant term and for 0, and a term is
-        scaled only by a coefficient other than one."""
+        computed once and shared by all terms, those of a single-term image
+        by its own power (``**``, no product when the term commutes with
+        itself); a term multiplies its powers in slot order, which matters
+        when the images do not commute.  The unit is built only for a
+        constant term and for 0, and a term is scaled only by a coefficient
+        other than one."""
         # index 0 of each cache is never read: a zero exponent is skipped
         powers = [[None, img] for img in images]
         one = self.ring.one()
@@ -374,7 +376,10 @@ class _Sparse:
             for cache, e in zip(powers, exps):
                 if e:
                     while len(cache) <= e:
-                        cache.append(cache[-1] * cache[1])
+                        base = cache[1]
+                        cache.append(base ** len(cache)
+                                     if len(base.coeffs) == 1
+                                     else cache[-1] * base)
                     term = cache[e] if term is None else term * cache[e]
             if term is None:
                 term = images[0] ** 0

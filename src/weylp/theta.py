@@ -161,19 +161,34 @@ def delta_geometric(g: UniPoly) -> UniPoly:
 
 
 def theta_inverse(g: UniPoly) -> UniPoly:
-    """The unique f with theta(f) = g, by the closed formula."""
+    """The unique f with theta(f) = g, by the closed formula, read off the
+    coefficient maps: the term c x^{pk} of g lies in mu_i, i = k mod p, as
+    c x^{p^2 (k // p)}, and the term r x^{pJ} of F^{-1}(S) in nu_i,
+    i = J mod p, so that F^{-1}(mu_i) and F^{-1}(nu_i) shifted by i put
+    c^{1/p} at x^k and r^{1/p} at x^J.  Every term of f goes into one map,
+    and one UniPoly is built from it."""
     p = _field_only(g, "theta_inverse", 1)
-    mu = xp_components(g)
-    s = delta_geometric(mu[p - 1])
-    nu = xp_components(s.inv_frobenius())  # pi_i F^{-1}(S), i < p
-    # sum lambda_i x^i as in the module docstring, lambda_{p-1} x^{p-1}
-    # added term by term; an i with mu_i = nu_i = 0 adds nothing
-    out = (s - mu[p - 1]).shift(p * p - 1)
-    for i in range(p - 1):
-        if mu[i].coeffs or nu[i].coeffs:
-            lam = mu[i].inv_frobenius() + nu[i].inv_frobenius()
-            out = out + lam.shift(i) + nu[i].shift(p * i + p - 1)
-    return out
+    out, top = {}, {}       # top: mu_{p-1}
+    for e, c in g.coeffs.items():
+        k = e // p
+        if k % p == p - 1:
+            top[p * (k - p + 1)] = c
+        else:
+            out[k] = c.inv_frobenius()
+    mu = UniPoly(g.ring, top, g.var)
+    s = delta_geometric(mu)
+    zero = g.ring.zero()
+    for e, c in s.coeffs.items():
+        r, J = c.inv_frobenius(), e // (p * p)
+        # nu_i shifted by p i + p - 1 puts r at x^{pJ + p - 1}; nu_{p-1}
+        # is not part of the formula
+        if J % p != p - 1:
+            out[J] = out.get(J, zero) + r.inv_frobenius()
+            out[p * J + p - 1] = r
+    # the rest of lambda_{p-1} x^{p-1}: (S - mu_{p-1}) x^{p^2 - 1}
+    for e, c in (s - mu).coeffs.items():
+        out[e + p * p - 1] = c
+    return UniPoly(g.ring, out, g.var)
 
 
 def theta_inverse_oracle(g: UniPoly) -> UniPoly:

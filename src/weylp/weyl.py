@@ -25,7 +25,10 @@ the orders k != 0 of a*b, then those of b*a with k! times p - 1 (codes
 stay non-negative), into one accumulator.  With X and Y read as x and d,
 the jacobian P_X Q_Y - P_Y Q_X is the order-1 term of [Q, P] (which is
 why res, keeping [d, x] = 1, lands in jacobian 1), and jacobian runs that
-order alone.
+order alone.  _bracket takes a sequence of right operands against one left
+one, packed and coded once: is_central runs its 2n generator commutators
+from that one coded operand.  The orders of a pair of exponent maxima are
+kept (_weyl_orders, a bounded cache).
 
 Powers over a field, the brute-force p-th powers behind res and the
 identity checks, are a chain acc <- acc * a on rows instead (the operator-
@@ -44,6 +47,12 @@ mostly empty one; without x2 there is one band); each step costs one bigint
 product per pair of rows, one shift per output row and band above 0, and
 one whole-row fold and mod-p reduction per output row (a Barrett
 step on every sub-slot at once), and the rows are decoded once at the end.
+A chain pays its set-up once per shape, not once per power: its orders
+come from _weyl_orders' cache, and its row layout, the layout's reduction
+(a closure over its constants), the sub-slot form of each element and the
+key of each x-slot from _row_layout's, a bounded cache per (field, bound,
+slots); an A_1 element's keys are read as A_2 keys without copying its
+map, and order 0, whose scalars are all 1, multiplies without them.
 Over K[t] a power is plain repeated products; either chain starts after
 the argument check and the k = 0, zero and single-term cases of the
 shared base, a single term x^i d^j with i, j > 0 on one axis being the one
@@ -124,7 +133,7 @@ class WeylElement(_Sparse):
 
     def _product(self, other: "WeylElement") -> "WeylElement":
         return self._from_nonzero(
-            _bracket(self.ring, self.n, self.coeffs, other.coeffs, 0))
+            _bracket(self.ring, self.n, self.coeffs, (other.coeffs,), 0)[0])
 
     def commutator(self, other: "WeylElement") -> "WeylElement":
         """[self, other] = self * other - other * self in one coded pass
@@ -132,7 +141,7 @@ class WeylElement(_Sparse):
         commutative product and cancel."""
         self._check_compatible(other)
         return self._from_nonzero(
-            _bracket(self.ring, self.n, self.coeffs, other.coeffs, 1))
+            _bracket(self.ring, self.n, self.coeffs, (other.coeffs,), 1)[0])
 
     def _commutes(self, key) -> bool:
         # x_s^i d_s^j with i, j > 0 reorders: (x d)^2 = x^2 d^2 + x d
@@ -157,11 +166,14 @@ class WeylElement(_Sparse):
     def is_central(self) -> bool:
         """Commutes with every generator.  Decided by the support criterion
         (all exponents divisible by p) and cross-checked against actual
-        commutators; the two must agree."""
-        p = self.ring.characteristic
+        commutators, the 2n of them run from one coded operand (_bracket);
+        the two must agree."""
+        ring, n = self.ring, self.n
+        p = ring.characteristic
         by_support = all(e % p == 0 for key in self.coeffs for e in key)
-        by_commutators = all(self.commutator(g).is_zero()
-                             for g in self._generators(self.ring, self.n))
+        by_commutators = not any(_bracket(
+            ring, n, self.coeffs,
+            [g.coeffs for g in self._generators(ring, n)], 1))
         if by_support != by_commutators:
             raise AssertionError(
                 "centrality criteria disagree on %s" % self)
@@ -193,38 +205,49 @@ class WeylElement(_Sparse):
         return self._substitute(images)
 
 
-def _weyl_orders(p: int, n: int, ta: list, tb: list) -> list:
+@lru_cache(maxsize=1024)
+def _weyl_orders(p: int, n: int, ta: tuple, tb: tuple) -> tuple:
     """The orders k (one per axis, each below p) of the commutation rule
     that can contribute to a * b, for A_n elements whose largest exponents
-    per key slot are ta and tb: a only differentiates in d's, b in x's.
-    The first is k = 0, the commutative product."""
-    return list(_iterproduct(*[range(min(p, 1 + ta[n + s], 1 + tb[s]))
-                               for s in range(n)]))
+    per key slot are the tuples ta and tb: a only differentiates in d's, b
+    in x's.  The first is k = 0, the commutative product.  Kept for the
+    recent (p, n, ta, tb)."""
+    return tuple(_iterproduct(*[range(min(p, 1 + ta[n + s], 1 + tb[s]))
+                                for s in range(n)]))
 
 
-def _bracket(ring, n: int, a: dict, b: dict, first: int,
-             last: int | None = None) -> dict:
-    """The orders k in [first, last) (in _weyl_orders' order) of a * b, and
-    for first = 1 those of b * a with k! times p - 1 (that is, negated, so
-    that codes stay non-negative), for the coefficient maps a, b of A_n
-    elements over ``ring``: both operands packed and coded once, every
-    order into one accumulator, decoded once.  The product for first = 0,
-    the commutator [a, b] for first = 1, the jacobian for n = 1, first = 1,
-    last = 2."""
-    if not a or not b:
-        return {}
+def _bracket(ring, n: int, a: dict, bs, first: int,
+             last: int | None = None) -> list:
+    """For each coefficient map b of the sequence ``bs``, the orders k in
+    [first, last) (in _weyl_orders' order) of a * b, and for first = 1
+    those of b * a with k! times p - 1 (that is, negated, so that codes
+    stay non-negative), for the coefficient maps of A_n elements over
+    ``ring``: a packed and coded once for all of bs, each b once, every
+    order of one b into one accumulator, decoded once.  The product for
+    first = 0, the commutator [a, b] for first = 1, the jacobian for
+    n = 1, first = 1, last = 2; is_central runs the 2n generators of A_n
+    as bs."""
+    if not a:
+        return [{} for _ in bs]
     codec, p = ring.codec, ring.characteristic
-    ta, tb = list(map(max, zip(*a))), list(map(max, zip(*b)))
-    w = (max(ta) + max(tb)).bit_length()
-    a, b = _coded(codec, a, w), _coded(codec, b, w)
-    ab = _weyl_orders(p, n, ta, tb)[first:last]
-    ba = _weyl_orders(p, n, tb, ta)[first:last] if first else []
-    codec.check_pairs((len(ab) + len(ba)) * min(len(a), len(b)),
-                      (p - 1) ** 2)
-    acc = _weyl_mul(codec, p, n, a, b, w, ab)
-    if first:
-        _weyl_mul(codec, p, n, b, a, w, ba, acc, p - 1)
-    return codec.decode(acc, w, 2 * n)
+    ta = tuple(map(max, zip(*a)))
+    tbs = [tuple(map(max, zip(*b))) if b else None for b in bs]
+    w = (max(ta) + max(map(max, filter(None, tbs)), default=0)).bit_length()
+    a = _coded(codec, a, w)
+    out = []
+    for b, tb in zip(bs, tbs):
+        acc: dict = {}
+        if tb:
+            b = _coded(codec, b, w)
+            ab = _weyl_orders(p, n, ta, tb)[first:last]
+            ba = _weyl_orders(p, n, tb, ta)[first:last] if first else ()
+            codec.check_pairs((len(ab) + len(ba)) * min(len(a), len(b)),
+                              (p - 1) ** 2)
+            _weyl_mul(codec, p, n, a, b, w, ab, acc)
+            if ba:
+                _weyl_mul(codec, p, n, b, a, w, ba, acc, p - 1)
+        out.append(codec.decode(acc, w, 2 * n) if acc else acc)
+    return out
 
 
 def jacobian(P: BiPoly, Q: BiPoly) -> BiPoly:
@@ -232,11 +255,11 @@ def jacobian(P: BiPoly, Q: BiPoly) -> BiPoly:
     read as x and d, the order-1 term of the commutator [Q, P] of A_1, in
     one coded pass (_bracket)."""
     P._check_compatible(Q)
-    return P._from_nonzero(_bracket(P.ring, 1, Q.coeffs, P.coeffs, 1, 2))
+    return P._from_nonzero(_bracket(P.ring, 1, Q.coeffs, (P.coeffs,), 1, 2)[0])
 
 
-def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int, ks: list,
-              acc: dict | None = None, sign: int = 1) -> dict:
+def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int, ks,
+              acc: dict, sign: int = 1) -> dict:
     """``acc`` plus the unreduced codes of sum over k in ``ks`` of
     sign * k! (d/d_xi)^[k]a * (d/dx)^[k]b, for A_n elements given by packed
     keys (slot width w) and reduced codes of ``codec``, over characteristic
@@ -244,8 +267,6 @@ def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int, ks: list,
     The caller guards the code stride (codec.check_pairs)."""
     binom, fact = _lucas_tables(p)
     zero = codec.zero
-    if acc is None:
-        acc = {}
     for k in ks:
         B = _divided_derivative(
             b, [(s * w, e) for s, e in enumerate(k) if e], w, binom, p, 1)
@@ -274,48 +295,57 @@ class _RowLayout:
     a step's products nor the reduction's multiply by the Barrett constant
     m = 2^t // p + 1 carry from one sub-slot into the next, and for v < 2^V
     the quotient (v * m) >> t is exactly v // p.  ``slots`` is the number
-    of x-slots of the longest row (the final power's)."""
+    of x-slots of the longest row (the final power's).  A layout depends
+    on (spec, bound, slots) only, and _row_layout keeps the recent ones, so
+    a chain builds its layout, its reduction (a closure over the layout's
+    constants) and the sub-slot form of each element it meets once per
+    (spec, bound, slots), not once per power."""
 
     def __init__(self, spec, bound: int, slots: int):
         p, n = spec.p, spec.n
         V = bound.bit_length()
-        self.p, self.n, self.t = p, n, V + p.bit_length()
-        self.m = (1 << self.t) // p + 1
-        self.sb = sb = (V + self.t + 8) // 8    # bytes per sub-slot
+        t = V + p.bit_length()
+        self.p, self.n, self.t = p, n, t
+        m = (1 << t) // p + 1
+        self.sb = sb = (V + t + 8) // 8         # bytes per sub-slot
         self.xb = (2 * n - 1) * sb              # bytes per x-slot
         self.S = S = 8 * sb
         self.X = 8 * self.xb
+        # element index -> its coordinates in sub-slots (encode), on demand
+        self.slotted = {}
         ones, zeros = b"\xff" * sb, bytes(sb)
 
         def replicated(xslot: bytes) -> int:
             return int.from_bytes(xslot * slots, "little")
 
-        self.qmask = replicated(
+        qmask = replicated(
             ((1 << V) - 1).to_bytes(sb, "little") * n + zeros * (n - 1))
         if n == 1:
-            return
-        # the fold: the coefficient of g^(n+k) in each x-slot, shifted down
-        # to sub-slot 0 and times the code of the image of g^(n+k) under the
-        # modulus (FieldSpec._red), lands in sub-slots 0 .. n - 1
-        self.low = replicated(ones * n + zeros * (n - 1))
-        self.sub = replicated(ones + zeros * (2 * n - 2))
-        self.folds = [(S * (n + k), self.encode(row))
-                      for k, row in enumerate(spec._red)]
+            def reduce(row: int) -> int:
+                return row - p * (row * m >> t & qmask)
+        else:
+            # the fold: the coefficient of g^(n+k) in each x-slot, shifted
+            # down to sub-slot 0 and times the code of the image of g^(n+k)
+            # under the modulus (FieldSpec._red), lands in sub-slots 0 ..
+            # n - 1
+            low = replicated(ones * n + zeros * (n - 1))
+            sub = replicated(ones + zeros * (2 * n - 2))
+            folds = [(S * (n + k), self.encode(row))
+                     for k, row in enumerate(spec._red)]
+
+            def reduce(row: int) -> int:
+                out = row & low
+                for shift, image in folds:
+                    out += (row >> shift & sub) * image
+                return out - p * (out * m >> t & qmask)
+        # every x-slot of a row folded through the modulus and its
+        # coordinates taken mod p, in whole-int operations
+        self.reduce = reduce
 
     def encode(self, coords) -> int:
         """An element of F_{p^n} by its coordinates in g (ascending, as
         FieldSpec._unpack gives them), one per sub-slot."""
         return sum(c << self.S * i for i, c in enumerate(coords))
-
-    def reduce(self, row: int) -> int:
-        """Every x-slot of ``row`` folded through the modulus and its
-        coordinates taken mod p, in whole-int operations."""
-        if self.n > 1:
-            low, sub = row & self.low, self.sub
-            for shift, image in self.folds:
-                low += (row >> shift & sub) * image
-            row = low
-        return row - self.p * (row * self.m >> self.t & self.qmask)
 
     def decode(self, row: int):
         """Element indices of the x-slots of a reduced row, lowest first."""
@@ -329,6 +359,15 @@ class _RowLayout:
             col = cols.pop()
             vals = [c + p * v for c, v in zip(col, vals)]
         return vals
+
+
+@lru_cache(maxsize=256)
+def _row_layout(spec, bound: int, slots: int, d1: int, n: int) -> tuple:
+    """The _RowLayout of (spec, bound, slots) and the A_n x-key of each of
+    its x-slots (x-slot x holds x1^(x % d1) x2^(x // d1)), kept for the
+    recent chains."""
+    return (_RowLayout(spec, bound, slots),
+            tuple((x % d1, x // d1)[:n] for x in range(slots)))
 
 
 @lru_cache(maxsize=None)
@@ -355,39 +394,42 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
     x-derivative of a is packed once per chain, in bands: a row of it is
     keyed by its d-exponents and its x2-exponent (the band) and holds only
     its x1-slots.  A step multiplies each acc row by k! binom(j, k) mod p
-    (a scalar, as it depends only on the row's d-exponents j), then by each
-    band row of that derivative, one bigint product per row pair; it
-    shifts the sum of each output d-key and band up D1 x-slots per band
-    (a pass taken only when a has a band above 0) and reduces each output
-    row once.  The rows are decoded to the field's elements at the end."""
+    (a scalar, as it depends only on the row's d-exponents j; order 0's is
+    1, and that product is skipped), then by each band row of that
+    derivative, one bigint product per row pair; it shifts the sum of each
+    output d-key and band up D1 x-slots per band (a pass taken only when a
+    has a band above 0) and reduces each output row once.  The rows are
+    decoded to the field's elements at the end.  The orders, the layout
+    and its x-keys come from caches (_weyl_orders, _row_layout)."""
     p = spec.p
     binom = _lucas_tables(p)[0]
     codes, value = spec.codec._codes, spec.codec.value
+    # an A_1 key (i, j) is read as the A_2 key (i, 0, j, 0)
     pad = (0,) * (2 - n)
-    coeffs = {key[:n] + pad + key[n:] + pad: c for key, c in coeffs.items()}
-    top = list(map(max, zip(*coeffs)))
+    terms = [(*key[:n], *pad, *key[n:], *pad, c.val)
+             for key, c in coeffs.items()]
+    top = tuple(map(max, zip(*terms)))[:4]
     # the final power's x-degrees bound every row of the chain
     d1 = k * top[0] + 1
     slots = d1 * (k * top[1] + 1)
     wd = (k * max(top[2:])).bit_length() or 1       # bits per d-exponent
     dmask = (1 << wd) - 1
-    terms = [(i1, i2, j1 | j2 << wd, c.val)
-             for (i1, i2, j1, j2), c in coeffs.items()]
     # the divided x-derivatives of a, as (d-key, x1-slot, band, element
     # index) terms per order
     orders = []
-    for k1, k2 in _weyl_orders(p, 2, [k * t for t in top], top):
+    for k1, k2 in _weyl_orders(p, 2, tuple(k * t for t in top), top):
         part = []
-        for i1, i2, j, v in terms:
+        for i1, i2, j1, j2, v in terms:
             f = binom[i1 % p][k1] * binom[i2 % p][k2]
             if f and (f == 1 or (v := value(codes[v] * f))):
-                part.append((j, i1 - k1, i2 - k2, v))
+                part.append((j1 | j2 << wd, i1 - k1, i2 - k2, v))
         if part:
             orders.append((k1, k2, part))
     # per order, a step lands at most one pair per term of a on an output
     # coefficient, the acc coordinate times its scalar (below p)
-    layout = _RowLayout(spec, spec.codec.bound(len(orders) * len(coeffs),
-                                               p - 1), slots)
+    layout, xkeys = _row_layout(
+        spec, spec.codec.bound(len(orders) * len(coeffs), p - 1), slots, d1,
+        n)
     # a band row's key is its d-key plus its band above the d-key's bits,
     # so a step sums the products of each (d-key, band) unshifted and
     # shifts each sum once, by D1 x-slots per band, into its output row
@@ -403,22 +445,30 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
             rows[j] = rows.get(j, 0) + (raw << band_slots * (key >> bandbit))
         return rows
 
-    X, encode, unpack = layout.X, layout.encode, spec._unpack
+    X, slotted = layout.X, layout.slotted
     parts = []
     for k1, k2, part in orders:
         rows: dict = {}
         for j, x1, band, v in part:
+            s = slotted.get(v)
+            if s is None:
+                s = slotted[v] = layout.encode(spec._unpack(v))
             key = j | band << bandbit
-            rows[key] = rows.get(key, 0) | encode(unpack(v)) << X * x1
+            rows[key] = rows.get(key, 0) | s << X * x1
         parts.append((_row_scalars(p, k1, k2), k1 | k2 << wd,
                       tuple(rows.items())))
-    # order 0 is a itself
+    # order 0 is a itself, and its scalars are all 1: its rows multiply an
+    # acc row unscaled
     acc = unband(dict(parts[0][2]))
+    rows0, parts = parts[0][2], parts[1:]
     reduce = layout.reduce
     for _ in range(k - 1):
         out: dict = {}
         get = out.get
         for ja, ra in acc.items():
+            for jb, rb in rows0:
+                key = ja + jb
+                out[key] = get(key, 0) + ra * rb
             r = (ja & dmask) % p + p * ((ja >> wd) % p)
             for scalars, shift, rows in parts:
                 scalar = scalars[r]
@@ -431,7 +481,6 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
         acc = {j: row for j, raw in unband(out).items()
                if (row := reduce(raw))}
     elts = spec._elts
-    xkeys = [(x % d1, x // d1)[:n] for x in range(slots)]
     result = {}
     for j, row in acc.items():
         dkey = (j & dmask, j >> wd)[:n]

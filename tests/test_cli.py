@@ -392,3 +392,56 @@ def test_verdict_failure_exits_1(argv, name, fake, result, monkeypatch,
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == result + "\n"
+
+
+class TestComposeRefusesNonAutomorphisms:
+    """compose validates both arguments, as res and decompose do."""
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["--target", "A1", "(x;x)", "(x;d)"], "[d, x] = 1"),
+        (["--target", "A1", "(x;d)", "(x;x)"], "[d, x] = 1"),
+        (["(X;X)", "(X;Y)"], "jacobian 0"),
+        (["(X;Y)", "(X^2;Y)"], "jacobian 2*X"),
+    ], ids=["A1-left", "A1-right", "Z-left", "Z-right"])
+    def test_exits_1(self, argv, reason, capsys):
+        code = main(["compose", "--field", "p=3"] + argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: not an automorphism: ")
+        assert reason in lines[0]
+
+
+class TestInternalCheckExits3:
+    """An internal invariant that fails (an AssertionError) ends in one
+    error line that echoes the command, and exit 3."""
+
+    def test_centrality_criteria_disagree(self, monkeypatch, capsys):
+        from weylp import weyl
+        original = weyl._bracket
+
+        def disagreeing(ring, n, a, bs, first, last=None):
+            # is_central's call, the one with several right operands:
+            # every generator commutator claims a unit term
+            if len(bs) > 1:
+                return [{(0,) * (2 * n): ring.one()} for _ in bs]
+            return original(ring, n, a, bs, first, last)
+        monkeypatch.setattr(weyl, "_bracket", disagreeing)
+        code = main(["res", "--field", "p=3", "phi[x^2]"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: internal check failed: centrality criteria disagree on ")
+        assert lines[0].endswith("(input: res --field p=3 'phi[x^2]')")
+
+    def test_documented(self):
+        import weylp.cli
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert "`3` an internal\ncheck failed" in readme
+        assert "error: internal check failed: <message>" in readme
+        assert "3 an internal\ncheck of the library failed" in (
+            weylp.cli.__doc__)

@@ -1,6 +1,8 @@
-"""tools/code_lines.py: the plain count and the --base comparison."""
+"""tools/code_lines.py: the plain count and the --base comparison;
+tools/bench_pairs.py: the --out report."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -38,3 +40,66 @@ def test_base_prints_before_after_and_delta(tmp_path, capsys, monkeypatch):
     assert table["theta.py"][2] == -1
     assert table["total"][0] == sum(
         b for name, (b, _, _) in table.items() if name != "total")
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_writes_what_it_prints(tmp_path, capsys, monkeypatch):
+    """--out writes the rows the table prints, with the runs, the seeds,
+    the run length and the machine; run_once is stubbed so that the head
+    runs 20% more cases per second than the base on every seed."""
+    tool = load_bench_pairs()
+    metrics = [m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed, seconds))
+        speed = (1.2 if checkout == "head-dir" else 1.0) * (100 + seed)
+        values = dict.fromkeys(metrics, 1.0)
+        values["cases_per_s"] = speed
+        return {"correct": True,
+                "metrics": {name: {"value": v} for name, v in values.items()}}
+    monkeypatch.setattr(tool, "run_once", run_once)
+    # two checkouts outside git; the head's BENCHMARK.json names the metrics
+    for name in ("base-dir", "head-dir"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "head-dir" / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "pairs.json"
+    code = tool.main(["--base", "base-dir", "--head", "head-dir",
+                      "--workload", "restriction", "--seeds", "1-4",
+                      "--seconds", "2", "--out", str(out)])
+    printed = capsys.readouterr().out.splitlines()
+    assert code == 0
+    # alternated: base first on even pairs, head first on odd ones
+    assert [c[0] for c in calls] == ["base-dir", "head-dir", "head-dir",
+                                     "base-dir"] * 2
+    assert {c[2] for c in calls} == {1, 2, 3, 4}
+    report = json.loads(out.read_text())
+    assert report["seeds"] == [1, 2, 3, 4] and report["seconds"] == 2
+    assert report["cpu_count"] > 0 and report["python"].count(".") == 2
+    assert report["commits"] == {"base": None, "head": None}
+    assert len(report["runs"]) == 8
+    rows = {row["metric"]: row for row in report["rows"]}
+    assert set(rows) == set(metrics)
+    speed = rows["cases_per_s"]
+    assert speed["verdict"] == "gain" and speed["won"] == speed["pairs"] == 4
+    assert speed["base"]["median"] == 102.5
+    assert abs(speed["head"]["median"] - 1.2 * 102.5) < 1e-9
+    base = speed["base"]
+    assert base["q1"] <= base["median"] <= base["q3"]
+    assert rows["pass_ratio"]["verdict"] == "within"
+    # one printed table row per JSON row, with the same verdict
+    table = [line for line in printed if line.startswith("| restriction")]
+    assert len(table) == len(report["rows"])
+    for line, row in zip(table, report["rows"]):
+        assert line.split(" | ")[1] == row["metric"]
+        assert line.rstrip(" |").endswith(row["verdict"])

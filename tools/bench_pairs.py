@@ -13,7 +13,10 @@ last line of its stdout, with workload, seed and side) is printed to
 stderr as it ends.  Then, per workload and end-to-end metric of the head's
 BENCHMARK.json, one row: each side's median and quartiles, the base's
 IQR / median, head / base, the pairs the head wins (ties count for
-neither) and a verdict:
+neither) and a verdict.  ``--out FILE`` also writes all of it as one JSON
+object: each side's commit (``git describe --always --dirty``, null
+outside git), the CPU count, the Python version, the seeds, the seconds
+per run, every run, and the rows.  The verdicts:
 
     gain    the head wins at least nine tenths of the pairs and the medians
             differ, in the metric's better direction, by more than the
@@ -51,6 +54,14 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def commit(checkout: str):
+    """The commit ``checkout`` is at, marked -dirty when its files differ
+    from it; None outside a git work tree."""
+    out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                         cwd=checkout, capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -85,6 +96,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--seconds", type=float, default=50)
+    parser.add_argument("--out", help="also write the runs and the rows "
+                                      "to this JSON file")
     args = parser.parse_args(argv)
     with open(os.path.join(args.head, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
@@ -101,6 +114,7 @@ def main(argv=None) -> int:
     print("| workload | metric | base median [q1, q3] | head median [q1, q3]"
           " | base IQR/median | head/base | won | verdict |")
     print("|---|---|---|---|---:|---:|---:|---|")
+    rows = []
     for workload in args.workload:
         for metric in metrics:
             name = metric["name"]
@@ -109,12 +123,25 @@ def main(argv=None) -> int:
                              and r["side"] == side]
                       for side in sides}
             row = compare(metric, values["base"], values["head"])
+            rows.append({"workload": workload, "metric": name, **row,
+                         **{side: dict(zip(("q1", "median", "q3"), row[side]))
+                            for side in sides}})
             print("| %s | %s | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %.3f"
                   " | %.3f | %d/%d | %s |"
                   % (workload, name, row["base"][1], row["base"][0],
                      row["base"][2], row["head"][1], row["head"][0],
                      row["head"][2], row["iqr_ratio"], row["ratio"],
                      row["won"], row["pairs"], row["verdict"]))
+    if args.out:
+        report = {"commits": {side: commit(path)
+                              for side, path in sides.items()},
+                  "cpu_count": os.cpu_count(),
+                  "python": sys.version.split()[0],
+                  "seeds": args.seeds, "seconds": args.seconds,
+                  "runs": runs, "rows": rows}
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
     return 0 if all(r["correct"] is True for r in runs) else 1
 
 
