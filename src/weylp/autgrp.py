@@ -30,7 +30,7 @@ from functools import reduce
 from operator import attrgetter
 
 from .gfq import FieldElement, FieldSpec
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, UniPoly, _require_field
 from .weyl import WeylElement, jacobian
 
 A1 = "A1"
@@ -531,8 +531,8 @@ def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
     gens: list = []
     if det != one:
         gens.append(GenGamma(det))
-        a = a * det.inv()
-        c = c * det.inv()
+        det_inv = det.inv()
+        a, c = a * det_inv, c * det_inv
     x_var = UniPoly.variable(field, "X")
 
     def phi_lin(coef: FieldElement) -> GenPhi:
@@ -543,12 +543,13 @@ def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
         if not c.is_zero():
             gens.append(phi_lin(c * a.inv()))
     else:
-        gens.append(GenT(b.inv()))
+        b_inv = b.inv()
+        gens.append(GenT(b_inv))
         if not a.is_zero():
             gens.append(phi_lin(a * b))
         gens.append(GenS())
         if not d.is_zero():
-            gens.append(phi_lin(d * b.inv()))
+            gens.append(phi_lin(d * b_inv))
     if not e.is_zero():
         # X-translation by e: s phi_{-e} s^{-1}
         gens.extend([GenS(), GenPhi(UniPoly.constant(field, -e, "X")),
@@ -562,9 +563,11 @@ def decompose(a: AutImages) -> AutWord:
     """Canonical word gamma_mu t_nu phi_{f_1} s ... s phi_{f_n} realizing a
     Z-automorphism (gamma omitted when the jacobian is 1; the identity comes
     back as t_1).  Deterministic: ties between the image degrees are broken
-    by swapping through s first."""
+    by swapping through s first.  Over K[t] it is refused: the degree
+    reduction divides by leading coefficients."""
     if a.target != Z:
         raise ValueError("decompose acts on Z images")
+    _require_field(a.field, "decompose")
     a.validate()
     field = a.field
     P, Q = a.img_x, a.img_y

@@ -50,7 +50,9 @@ and leading terms.
 The coefficient ring is either a FieldSpec (elements: FieldElement, codec:
 gfq.FieldCodec) or a PolyRing over one (elements: UniPoly in ``t``), the
 latter so identities can be exercised over a reduced coefficient ring that
-is not a field.  Division is only ever asked of the field instance.
+is not a field.  Code generic in the ring reads ring.characteristic; what
+needs division or p-th roots calls _require_field first, the one check
+that refuses K[t], by the name of the operation.
 random_unipoly draws a random polynomial over either in one order (the
 degree, the lower coefficients, a nonzero leading one), for the suites and
 for PolyRing.random_element alike.
@@ -64,6 +66,15 @@ from math import comb
 from .gfq import FieldElement, FieldSpec, _format_term, _mono_str
 
 NEG_INF = float("-inf")
+
+
+def _require_field(ring, op: str) -> int:
+    """The characteristic of ``ring``, once the operation ``op`` has refused
+    a ring that is not a field (a finite field, so perfect): the one check
+    of what division and p-th roots ask of the coefficient ring."""
+    if not ring.is_field:
+        raise ValueError("%s requires a perfect-field coefficient ring" % op)
+    return ring.characteristic
 
 
 @lru_cache(maxsize=None)
@@ -514,9 +525,7 @@ class UniPoly(_Sparse):
 
     def inv_frobenius(self) -> "UniPoly":
         """p-th root of a polynomial supported on exponents divisible by p."""
-        if not self.ring.is_field:
-            raise ValueError("inverse Frobenius needs a perfect field")
-        p = self.ring.characteristic
+        p = _require_field(self.ring, "inv_frobenius")
         out = {}
         for e, c in self.coeffs.items():
             if e % p:

@@ -5,7 +5,8 @@ res always brute-forces the p-th powers of the images (sigma(X) = sigma(x)^p,
 sigma(Y) = sigma(d)^p, converted to centre coordinates after a centrality
 check); the closed affine formula and the phi rule are cross-checks, never a
 fast path.  The image lands in the jacobian-1 subgroup and preserves degree;
-both facts are asserted on every call.
+both facts are asserted on every call.  It needs only characteristic p, so
+it runs over K[t] too; its inverse needs a field.
 
 The inverse goes the way the canonical words suggest: decompose the centre
 automorphism into t_nu phi_{f_1} s ... phi_{f_n}, then pull each generator
@@ -39,7 +40,7 @@ def res(a: AutImages) -> ResResult:
         raise ValueError("res acts on A_1 automorphisms")
     a.validate()
     field = a.field
-    p = field.p
+    p = field.characteristic
     pow_x = a.img_x ** p
     pow_y = a.img_y ** p
     # centrality is forced for genuine automorphisms; a failure here means

@@ -28,11 +28,7 @@ term of g) is kept alongside as an independent oracle.
 
 from __future__ import annotations
 
-from .poly import UniPoly
-
-
-def _char(f: UniPoly) -> int:
-    return f.ring.characteristic
+from .poly import UniPoly, _require_field
 
 
 def _require_support(f: UniPoly, modulo: int, what: str):
@@ -45,7 +41,7 @@ def _require_support(f: UniPoly, modulo: int, what: str):
 def theta(f: UniPoly) -> UniPoly:
     """f^p + f^{(p-1)}; lands in K[x^p] (checked).  Defined over any
     coefficient ring of characteristic p, field or not."""
-    p = _char(f)
+    p = f.ring.characteristic
     out = f.frobenius() + f.derivative(p - 1)
     _require_support(out, p, "theta image")
     return out
@@ -55,9 +51,7 @@ def _field_only(f: UniPoly, op: str, power: int) -> int:
     """The characteristic p of f's ring, once the operator ``op`` has
     refused a ring that is not a field and a support with an exponent not
     divisible by p^power."""
-    if not f.ring.is_field:
-        raise ValueError("%s requires a perfect-field coefficient ring" % op)
-    p = _char(f)
+    p = _require_field(f.ring, op)
     _require_support(f, p ** power, "argument")
     return p
 
@@ -65,7 +59,7 @@ def _field_only(f: UniPoly, op: str, power: int) -> int:
 def xp_components(g: UniPoly) -> list[UniPoly]:
     """The components (mu_0, ..., mu_{p-1}) of g = sum mu_i x^{pi} with
     mu_i in K[x^{p^2}], kept as polynomials in x."""
-    p = _char(g)
+    p = g.ring.characteristic
     _require_support(g, p, "argument")
     parts: list[dict] = [{} for _ in range(p)]
     for e, c in g.coeffs.items():
@@ -76,8 +70,7 @@ def xp_components(g: UniPoly) -> list[UniPoly]:
 
 def pi_component(g: UniPoly, i: int) -> UniPoly:
     """Component extraction K[x^p] -> K[x^{p^2}] picking mu_i."""
-    p = _char(g)
-    if not 0 <= i <= p - 1:
+    if i not in range(g.ring.characteristic):
         raise ValueError("component index must be in 0..p-1")
     return xp_components(g)[i]
 
@@ -87,8 +80,8 @@ def pi_component_via_operators(g: UniPoly, i: int) -> UniPoly:
     (x^p d^[p] - j)/(i - j) over j != i (a projection onto the eigenspace of
     x^p d^[p] with eigenvalue i) followed by d^[p*i].  Independent of
     pi_component; the two must agree."""
-    p = _char(g)
-    if not 0 <= i <= p - 1:
+    p = g.ring.characteristic
+    if i not in range(p):
         raise ValueError("component index must be in 0..p-1")
     _require_support(g, p, "argument")
     ring = g.ring

@@ -616,3 +616,13 @@ class TestImagesOverAnotherField:
         assert AutImages(F3, Z, *BiPoly.gens(twin)) == identity_images(F3, Z)
         assert (AutImages(F3, A1, *WeylElement._generators(twin, 1))
                 == identity_images(F3, A1))
+
+
+class TestGeneratorFieldsAndWordRepr:
+    def test_missing_field_refused(self):
+        with pytest.raises(TypeError) as info:
+            GenT()
+        assert str(info.value) == "GenT takes the fields (mu)"
+
+    def test_repr_of_z_word(self):
+        assert repr(w(F3, GenS())) == "AutWord(Z: s)"

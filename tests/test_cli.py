@@ -13,6 +13,7 @@ from weylp import (A1, SUITES, Z, AutWord, FieldSpec, GenS, GenT, WeylElement,
 from weylp.autgrp import _REWRITES, _affine_part, affine_forms
 from weylp.cli import MAX_COUNT, main
 from weylp.suites import random_sl2, res2_affine
+from weylp.suites import random_word, res_rt
 
 # byte-exact golden outputs, at least one per subcommand, fixed-seed fuzz
 # summaries included
@@ -225,6 +226,19 @@ def test_res2_affine_failure_parses_back(spec, monkeypatch):
         translation = (spec.random_element(rng), spec.random_element(rng))
         assert realize(parse_word(failure, spec, A1)) == \
             a1_affine_images(spec, matrix, translation)
+
+
+@pytest.mark.parametrize("error", [ValueError, AssertionError])
+def test_res_rt_reports_the_word_when_res_raises(error, monkeypatch):
+    """A res-rt case whose res raises a refusal or a failed internal check
+    fails with its word's text, not with the exception."""
+    def refuse(images):
+        raise error("refused")
+    monkeypatch.setattr("weylp.suites.res", refuse)
+    spec = FieldSpec(3)
+    for seed in range(3):
+        word = random_word(random.Random(seed), spec, A1)
+        assert res_rt(spec, random.Random(seed), 0) == str(word)
 
 
 def test_resn_affine_failures_parse_back():

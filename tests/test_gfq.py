@@ -237,3 +237,23 @@ def test_pow_matches_schoolbook_oracle(p, n):
                 assert field_mul_schoolbook(
                     spec, (a ** -e).coeffs,
                     field_pow_schoolbook(spec, x, e)) == one
+
+
+class TestMixedOperands:
+    """Ints on either side are read mod p; other operands are refused."""
+
+    F5 = FieldSpec(5)
+
+    def test_int_operands(self):
+        a = self.F5.from_int(2)
+        assert 3 - a == self.F5.one()
+        assert a == 7
+
+    @pytest.mark.parametrize("op", [lambda a: a - "x", lambda a: a ** 1.5],
+                             ids=["sub-str", "pow-float"])
+    def test_other_operands_refused(self, op):
+        with pytest.raises(TypeError):
+            op(self.F5.from_int(2))
+
+    def test_repr(self):
+        assert repr(FieldSpec(3)) == "FieldSpec(p=3)"

@@ -356,3 +356,8 @@ class TestAffineWords:
             parse_word("affine[1,1,1,1;0,0]", F3, Z)
         with pytest.raises(ValueError, match="determinant 1"):
             parse_word("affine[2,0,0,1;0,0]", F3, A1)
+
+
+def test_word_with_trailing_blanks():
+    word = parse_word("s  ", F3, Z)
+    assert word.gens == (GenS(),)

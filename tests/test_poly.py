@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from weylp import (BiPoly, FieldSpec, PolyRing, UniPoly, WeylElement,
                    jacobian, lucas_binomial, p_recompose)
 from weylp import autgrp, poly
+from weylp import parse_unipoly
 from weylp.poly import falling_factorial_mod
 
 from weylp.suites import random_unipoly
@@ -551,3 +552,18 @@ class TestDrawOrder:
             f = ring.random_element(drawn)
             assert ring.random_nonzero(nonzero) == (
                 ring.one() if f.is_zero() else f)
+
+
+class TestInverseFrobeniusOnExtension:
+    F9 = FieldSpec(3, 2)
+
+    def test_root_of_coefficients_and_exponents(self):
+        f = parse_unipoly("g*x^3+1", self.F9)
+        root = f.inv_frobenius()
+        assert str(root) == "(2*g)*x+1"
+        assert root.frobenius() == f
+
+
+def test_sum_with_a_string_refused():
+    with pytest.raises(TypeError):
+        UniPoly.variable(F3) + "s"

@@ -9,11 +9,18 @@ from weylp import (A1, Z, AutImages, AutWord, BiPoly, FieldSpec, PolyRing,
                    identity_images, parse_field_spec,
                    pi_component_via_operators, res, res_inverse,
                    res_n_affine_bruteforce, verify_pth_power_identity_2vars)
+from weylp import decompose, invert
 from weylp.gfq import UsageError
 
 F3 = FieldSpec(3)
 F9 = FieldSpec(3, 2)
 x = UniPoly.variable(F3)
+# over K[t]: the translation (X + t; Y), an automorphism of jacobian 1 that
+# decompose, and with it res_inverse and invert, refuse by name
+T = PolyRing(F3)
+X, Y = BiPoly.gens(T)
+SHIFT_BY_T = AutImages(T, Z, X + BiPoly.constant(T, T.gen()), Y)
+NOT_A_FIELD = "decompose requires a perfect-field coefficient ring"
 
 REFUSALS = [
     ("images-target",
@@ -75,6 +82,15 @@ REFUSALS = [
      UsageError, "bad field spec component 'p' (want key=value)"),
     ("field-spec-modulus", lambda: parse_field_spec("p=3,n=2,mod=0"),
      UsageError, "modulus must be nonzero"),
+    ("decompose-over-poly-ring", lambda: decompose(SHIFT_BY_T),
+     ValueError, NOT_A_FIELD),
+    ("res-inverse-over-poly-ring", lambda: res_inverse(SHIFT_BY_T),
+     ValueError, NOT_A_FIELD),
+    ("invert-over-poly-ring", lambda: invert(SHIFT_BY_T),
+     ValueError, NOT_A_FIELD),
+    ("inverse-frobenius-over-poly-ring",
+     lambda: UniPoly(T, {3: T.gen()}).inv_frobenius(),
+     ValueError, "inv_frobenius requires a perfect-field coefficient ring"),
 ]
 
 

@@ -9,6 +9,7 @@ from weylp import (A1, Z, AutImages, AutWord, BiPoly, FieldSpec, GenGamma,
                    res_affine, res_inverse, res_n_affine,
                    res_n_affine_bruteforce, res_phi, symplectic_form,
                    z_affine_images)
+from weylp import PolyRing
 from weylp.autgrp import mat_mul
 from weylp.gfq import FieldElement
 from weylp.suites import (random_sl2, random_symplectic4, random_word)
@@ -419,3 +420,34 @@ class TestJacobianOneNonAutomorphism:
         with pytest.raises(NotAnAutomorphismError) as exc:
             res_inverse(self.images(spec))
         assert str(exc.value) == self.STALLED
+
+
+# res needs only characteristic p (sigma |-> (sigma(x)^p, sigma(d)^p)), so
+# it runs over K[t], where the generator rule res(phi_f) = phi_{res_phi(f)}
+# and res(s) = s hold as over a field
+@pytest.mark.parametrize("base", [F2, F3, FieldSpec(3, 2)],
+                         ids=["F2[t]", "F3[t]", "F9[t]"])
+class TestResOverPolyRing:
+    def payload(self, ring):
+        t = ring.gen()
+        return UniPoly(ring, {2: t, 0: t ** 2}, "x")
+
+    def check(self, ring, a1_gens, z_gens):
+        r = res(imgs(ring, *a1_gens, target=A1))
+        assert r.image == imgs(ring, *z_gens)
+        assert r.jacobian_value == ring.one()
+        assert r.degree_in == r.degree_out == 2
+        return r
+
+    def test_phi(self, base):
+        ring = PolyRing(base)
+        f = self.payload(ring)
+        r = self.check(ring, [GenPhi(f)], [GenPhi(res_phi(f))])
+        if base == F3:
+            assert str(r.image) == "(X; (t^3)*X^2+Y+(t^6+2*t))"
+
+    def test_conjugated_phi(self, base):
+        ring = PolyRing(base)
+        f = self.payload(ring)
+        self.check(ring, [GenS(), GenPhi(f), GenS()],
+                   [GenS(), GenPhi(res_phi(f)), GenS()])

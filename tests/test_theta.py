@@ -203,3 +203,8 @@ def test_theta_inverse_with_one_nonzero_component(spec):
             f = theta_inverse(g)
             assert theta(f) == g
             assert f == theta_inverse_oracle(g)
+
+
+def test_delta_iterated_zero_times_is_the_argument():
+    g = UniPoly.variable(F3) ** 9
+    assert delta_iterated(g, 0) is g

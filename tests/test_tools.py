@@ -1,9 +1,12 @@
 """tools/code_lines.py: the plain count and the --base comparison;
-tools/bench_pairs.py: the --out report."""
+tools/bench_pairs.py: the --out report; tools/pass_pairs.py: whole passes
+of two checkouts in one process."""
 
 import importlib.util
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,3 +106,43 @@ def test_bench_pairs_writes_what_it_prints(tmp_path, capsys, monkeypatch):
     for line, row in zip(table, report["rows"]):
         assert line.split(" | ")[1] == row["metric"]
         assert line.rstrip(" |").endswith(row["verdict"])
+
+
+def run_pass_pairs(*args):
+    return subprocess.run([sys.executable, "tools/pass_pairs.py", *args],
+                          cwd=ROOT, capture_output=True, text=True)
+
+
+def test_pass_pairs_on_this_checkout():
+    """This checkout against itself, 2 rounds at seed 0: equal digests, one
+    line per round with the first side switching, and the summary."""
+    proc = run_pass_pairs("--base", ".", "--rounds", "2", "--seed", "0")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    digests = [line.split("digest ")[1] for line in lines[:2]]
+    assert lines[0].startswith("base: ") and lines[1].startswith("head: ")
+    assert digests[0] == digests[1] and "225 cases" in lines[0]
+    assert lines[2].split() == ["round", "first", "base_s", "head_s",
+                                "head/base"]
+    rounds = [line.split() for line in lines[3:5]]
+    assert [r[:2] for r in rounds] == [["1", "base"], ["2", "head"]]
+    for _, _, base, head, ratio in rounds:
+        assert abs(float(head) / float(base) - float(ratio)) < 1e-2
+    assert lines[5].startswith("head/base median ")
+    assert lines[5].endswith("head won %d of 2 rounds"
+                             % sum(float(r[4]) < 1 for r in rounds))
+
+
+def test_pass_pairs_refuses_other_answers(tmp_path):
+    """A base whose automorphisms print differently gives another digest:
+    exit 1 before any timed round."""
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    autgrp = tmp_path / "src" / "weylp" / "autgrp.py"
+    autgrp.write_text(autgrp.read_text()
+                      + "\nAutImages.__str__ = lambda self: 'other'\n")
+    proc = run_pass_pairs("--base", str(tmp_path), "--rounds", "2")
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[-1] == (
+        "the digests differ: the two checkouts give other answers")
