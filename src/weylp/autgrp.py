@@ -18,10 +18,14 @@ jacobian is 1) by leading-form degree reduction: while the degree exceeds 1,
 the smaller image's leading form must, up to a scalar power, cancel the
 larger's, which peels off a phi (after an s swap when the roles of X and Y
 are reversed); the remaining affine part is factored through the generator
-relations.  Degree reduction stalling, a singular affine part, or a jacobian
-that is not a nonzero constant all prove the input is an endomorphism that is
-no automorphism, reported as NotAnAutomorphismError (distinct from malformed
-input, which raises ValueError).
+relations.  An endomorphism that is no automorphism is refused in one of two
+ways, each a NotAnAutomorphismError (distinct from malformed input, which
+raises ValueError): validate finds a jacobian that is not a nonzero constant,
+or the degree reduction stalls, as it does on (X + X^p, Y), whose jacobian is
+1 in characteristic p.  No other refusal can occur: both steps, (P, Q) ->
+(-Q, P) and Q -> Q - c P^m, keep the jacobian, so no image becomes constant,
+the affine part left at the end has the jacobian as its determinant, and each
+peeled phi has a nonzero payload.
 """
 
 from __future__ import annotations
@@ -521,13 +525,13 @@ def _leading_scalar(big: BiPoly, small: BiPoly, degree: int):
 
 def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
     """Factor a degree-1 pair of Z images into [gamma] [t] (s/linear-phi
-    word); raises NotAnAutomorphismError when the linear part is singular."""
+    word).  The linear part is never singular: its determinant is the
+    jacobian, a nonzero constant, which decompose validated and its steps
+    kept."""
     one = field.one()
     ((a, b), (c, d)), (e, f) = _affine_part(
         (img_x.coeffs, img_y.coeffs), _gens(field, Z), field.zero())
     det = _det2(((a, b), (c, d)))
-    if det.is_zero():
-        raise NotAnAutomorphismError("affine part is singular")
     gens: list = []
     if det != one:
         gens.append(GenGamma(det))
@@ -564,7 +568,15 @@ def decompose(a: AutImages) -> AutWord:
     Z-automorphism (gamma omitted when the jacobian is 1; the identity comes
     back as t_1).  Deterministic: ties between the image degrees are broken
     by swapping through s first.  Over K[t] it is refused: the degree
-    reduction divides by leading coefficients."""
+    reduction divides by leading coefficients.
+
+    A non-automorphism is refused in two ways: validate (the jacobian is
+    not a nonzero constant) and a stalled degree reduction (a degree that
+    does not divide, or leading forms that do not cancel).  Nothing else
+    can fail once validate passes: both steps keep the jacobian, so no
+    image becomes constant and the final affine part is not singular, and
+    each outer step runs the inner loop at least once, adding c X^m with
+    c != 0 and m falling, so no phi payload is zero."""
     if a.target != Z:
         raise ValueError("decompose acts on Z images")
     _require_field(a.field, "decompose")
@@ -574,11 +586,7 @@ def decompose(a: AutImages) -> AutWord:
     # the image degrees, carried across the steps: a step changes only Q's
     dp, dq = P.degree, Q.degree
     tail: list = []
-    while True:
-        if dp < 1 or dq < 1:
-            raise NotAnAutomorphismError("image is constant")
-        if max(dp, dq) <= 1:
-            break
+    while max(dp, dq) > 1:
         if dp >= dq:
             # peel s: sigma = sigma' o s, images of sigma' are (-Q, P)
             P, Q, dp, dq = -Q, P, dq, dp
@@ -586,12 +594,12 @@ def decompose(a: AutImages) -> AutWord:
         # reduce Q by multiples of powers of P; K[X, Y] is a domain, so
         # the leading form of P^m is lf(P)^m
         payload = UniPoly.zero(field, "X")
-        while dq >= dp and max(dp, dq) > 1:
-            m, rem = divmod(int(dq), int(dp))
+        while dq >= max(dp, 2):
+            m, rem = divmod(dq, dp)
             if rem:
                 raise NotAnAutomorphismError(
                     "degree reduction stalled: %d does not divide %d"
-                    % (int(dp), int(dq)))
+                    % (dp, dq))
             pm = P ** m
             c = _leading_scalar(Q, pm, dq)
             if c is None:
@@ -600,9 +608,6 @@ def decompose(a: AutImages) -> AutWord:
             payload = payload + UniPoly.monomial(field, m, c, "X")
             Q = Q - pm.scale(c)
             dq = Q.degree
-        if payload.is_zero():
-            raise NotAnAutomorphismError(
-                "degree reduction stalled: no progress")
         tail.insert(0, GenPhi(payload))
     gens = _affine_word(field, P, Q) + tail
     word = normalize_word(AutWord(field, Z, gens))

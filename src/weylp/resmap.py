@@ -16,12 +16,12 @@ payload, s by itself) and realize the resulting word on A_1.
 
 from __future__ import annotations
 
-from .autgrp import (A1, Z, AutImages, AutWord, GenAffine, GenGamma, GenPhi,
-                     GenS, GenT, Record, _affine_part, _check_affine,
-                     affine_forms, decompose, generator_images, in_gamma,
-                     realize)
+from .autgrp import (A1, Z, AutImages, AutWord, GenAffine, GenPhi, GenS,
+                     GenT, Record, _affine_part, _check_affine, affine_forms,
+                     decompose, generator_images, in_gamma, realize)
 from .gfq import FieldSpec
 from .poly import BiPoly, UniPoly
+from .theta import theta, theta_inverse
 from .weyl import WeylElement
 
 
@@ -82,7 +82,6 @@ def res_affine(field: FieldSpec, matrix, translation) -> AutImages:
 def res_phi(f: UniPoly) -> UniPoly:
     """Payload rule for triangular automorphisms: res(phi_f) = phi_{g} with
     g the theta image of f written in X (exponent/p)."""
-    from .theta import theta
     # theta rejects images off K[x^p], so component 0 is the whole image
     return theta(f).p_decompose("X")[0]
 
@@ -91,7 +90,6 @@ def res_inverse(g: AutImages) -> AutImages:
     """Preimage of a jacobian-1 centre automorphism under res: decompose,
     map t_nu -> t_{nu^{1/p}}, phi_f -> phi_{theta^{-1}(f)}, s -> s, realize
     on A_1."""
-    from .theta import theta_inverse
     if g.target != Z:
         raise ValueError("res_inverse acts on centre automorphisms")
     if not in_gamma(g):
@@ -106,10 +104,8 @@ def res_inverse(g: AutImages) -> AutImages:
             gens.append(GenT(gen.mu.inv_frobenius()))
         elif isinstance(gen, GenPhi):
             gens.append(GenPhi(theta_inverse(gen.payload.expand_inner("x"))))
-        elif isinstance(gen, GenGamma):
-            raise AssertionError("gamma in a jacobian-1 decomposition")
         else:
-            raise AssertionError("unexpected generator %r" % (gen,))
+            raise AssertionError("%s in a jacobian-1 decomposition" % (gen,))
     return realize(AutWord(g.field, A1, gens))
 
 

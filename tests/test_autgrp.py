@@ -1,4 +1,6 @@
+import collections
 import copy
+import itertools
 import pickle
 import random
 
@@ -626,3 +628,46 @@ class TestGeneratorFieldsAndWordRepr:
 
     def test_repr_of_z_word(self):
         assert repr(w(F3, GenS())) == "AutWord(Z: s)"
+
+
+class TestRefusalsThatCanOccur:
+    """decompose refuses a non-automorphism in exactly two ways: validate
+    finds a jacobian that is not a nonzero constant, or the degree
+    reduction stalls.  Every pair of total degree <= 2 over F_2, and a
+    seeded sample over F_3, ends in one of those or in a word that
+    realizes back to the pair."""
+
+    PREFIXES = ("jacobian ", "degree reduction stalled: ")
+
+    @staticmethod
+    def _quadratics(spec, coefficient_tuples):
+        keys = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        return [BiPoly(spec, {k: spec.from_int(c) for k, c in zip(keys, cs)
+                              if c}) for cs in coefficient_tuples]
+
+    def _outcome(self, spec, P, Q):
+        pair = AutImages(spec, Z, P, Q, validate=False)
+        try:
+            word = decompose(pair)
+        except NotAnAutomorphismError as err:
+            prefix = [p for p in self.PREFIXES if str(err).startswith(p)]
+            assert prefix, str(err)
+            return prefix[0]
+        assert realize(word) == pair, (P, Q, word)
+        return "word"
+
+    def test_every_quadratic_pair_over_f2(self):
+        polys = self._quadratics(F2, itertools.product(range(2), repeat=6))
+        counts = collections.Counter(self._outcome(F2, P, Q)
+                                     for P in polys for Q in polys)
+        assert counts == {"word": 96, "jacobian ": 3712,
+                          "degree reduction stalled: ": 288}
+
+    def test_random_quadratic_pairs_over_f3(self):
+        rng = random.Random(24)
+        polys = self._quadratics(F3, [[rng.randrange(3) for _ in range(6)]
+                                      for _ in range(4000)])
+        outcomes = {self._outcome(F3, P, Q)
+                    for P, Q in zip(polys[::2], polys[1::2])}
+        assert "word" in outcomes
+        assert outcomes <= {"word", *self.PREFIXES}

@@ -255,5 +255,16 @@ class TestMixedOperands:
         with pytest.raises(TypeError):
             op(self.F5.from_int(2))
 
+    @pytest.mark.parametrize(
+        "op", [lambda a: a + "s", lambda a: "s" - a, lambda a: a * "s",
+               lambda a: a / "s"],
+        ids=["add-str", "rsub-str", "mul-str", "div-str"])
+    def test_string_operands_refused(self, op):
+        with pytest.raises(TypeError):
+            op(self.F5.from_int(2))
+
+    def test_equality_with_a_string_is_false(self):
+        assert (self.F5.from_int(2) == "s") is False
+
     def test_repr(self):
         assert repr(FieldSpec(3)) == "FieldSpec(p=3)"

@@ -567,3 +567,8 @@ class TestInverseFrobeniusOnExtension:
 def test_sum_with_a_string_refused():
     with pytest.raises(TypeError):
         UniPoly.variable(F3) + "s"
+
+
+def test_difference_with_a_string_refused():
+    with pytest.raises(TypeError):
+        UniPoly.variable(F5) - "s"

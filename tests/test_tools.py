@@ -146,3 +146,39 @@ def test_pass_pairs_refuses_other_answers(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[-1] == (
         "the digests differ: the two checkouts give other answers")
+
+
+def test_unexecuted_lists_the_uncalled_body(tmp_path):
+    """A throwaway package with one function its test never calls: the
+    tool lists that function's body line, and nothing else, and exits with
+    pytest's status."""
+    package = tmp_path / "throwaway"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        '"""Two functions."""\n'
+        "\n"
+        "import math\n"
+        "\n"
+        "\n"
+        "def called(n):\n"
+        '    """Twice n."""\n'
+        "    return 2 * n\n"
+        "\n"
+        "\n"
+        "def uncalled(n):\n"
+        "    return math.floor(n)\n")
+    (tmp_path / "test_mod.py").write_text(
+        "from throwaway.mod import called\n"
+        "\n"
+        "\n"
+        "def test_called():\n"
+        "    assert called(2) == 4\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "unexecuted.py"),
+         "--package", "throwaway", "--", "-q", "-p", "no:cacheprovider",
+         "test_mod.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        "mod.py:12: return math.floor(n)", "statements not executed: 1"]
