@@ -13,7 +13,15 @@ objects.  There is one arithmetic, through the codes: a sum or product of
 two elements is the int sum or product of their codes, folded back to an
 element by FieldCodec.value.  Inside a polynomial or Weyl product the codes
 are added and multiplied as plain ints and folded once at the end of the
-product.
+product.  The fold is a closure built once per field (_folder) over the
+field's constants, with the fold through the modulus and the n coordinates
+written out.  A binary operator takes an element of its own field before
+coercing anything else.
+
+What does not change, an element pays for once: its inverse (one power,
+a^(q-2)) and its text are computed on first use and kept in lists of the
+FieldSpec (_invs, _texts), each allocated on its first use, so a field
+holds only the values its callers asked for and has no q x q table.
 
 Terms are printed by one printer, _mono_str and _format_term: the
 polynomials in g here (_g_str, behind elements and moduli) and the sparse
@@ -136,11 +144,15 @@ class FieldElement:
             return spec.from_int(other)
         return None
 
+    # each binary operator takes an element of its own FieldSpec, the
+    # operand it nearly always meets, before _coerce
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         spec = self.spec
+        if type(other) is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         codec = spec.codec
         codes = codec._codes
         return spec._elts[codec.value(codes[self.val] + codes[other.val])]
@@ -154,10 +166,15 @@ class FieldElement:
         return spec._elts[codec.value(codec._codes[self.val] * (spec.p - 1))]
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        spec = self.spec
+        if type(other) is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        codec = spec.codec
+        codes = codec._codes
+        return spec._elts[codec.value(
+            codes[self.val] + codes[other.val] * (spec.p - 1))]
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -166,10 +183,11 @@ class FieldElement:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         spec = self.spec
+        if type(other) is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         codec = spec.codec
         codes = codec._codes
         return spec._elts[codec.value(codes[self.val] * codes[other.val])]
@@ -177,9 +195,18 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
-        if self.val == 0:
-            raise ZeroDivisionError("division by zero in %s" % self.spec)
-        return self ** (self.spec.q - 2)
+        """self^(q - 2), computed once per element and kept (FieldSpec._invs);
+        nothing is kept for zero, which raises ZeroDivisionError."""
+        spec = self.spec
+        invs = spec._invs
+        if invs is None:
+            invs = spec._invs = [None] * spec.q
+        inv = invs[self.val]
+        if inv is None:
+            if self.val == 0:
+                raise ZeroDivisionError("division by zero in %s" % spec)
+            inv = invs[self.val] = self ** (spec.q - 2)
+        return inv
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -219,6 +246,8 @@ class FieldElement:
         return self ** (spec.p ** (spec.n - 1))
 
     def __eq__(self, other) -> bool:
+        if type(other) is FieldElement and other.spec is self.spec:
+            return self.val == other.val
         if isinstance(other, FieldElement):
             return self.val == other.val and (
                 self.spec is other.spec or self.spec == other.spec)
@@ -230,9 +259,17 @@ class FieldElement:
         return hash((self.spec, self.val))
 
     def __str__(self) -> str:
-        if self.spec.n == 1:
-            return str(self.val)
-        return _g_str(self.coeffs)
+        """The residue over F_p, the polynomial in g (_g_str) over F_{p^n};
+        printed once per element and kept (FieldSpec._texts)."""
+        spec = self.spec
+        texts = spec._texts
+        if texts is None:
+            texts = spec._texts = [None] * spec.q
+        text = texts[self.val]
+        if text is None:
+            text = texts[self.val] = (
+                str(self.val) if spec.n == 1 else _g_str(self.coeffs))
+        return text
 
     __repr__ = __str__
 
@@ -273,6 +310,10 @@ class FieldSpec:
         self._red = red
         self._elts = [FieldElement(self, v) for v in range(self.q)]
         self.codec = FieldCodec(self)
+        # the inverses and texts of the elements by index, None until first
+        # asked for; each list is allocated on its first use, so a field
+        # pays for the values its callers use, not for q of them here
+        self._invs = self._texts = None
 
     @property
     def characteristic(self) -> int:
@@ -357,11 +398,15 @@ class FieldCodec:
     two codes is their product as polynomials in g, the coefficient of g^i
     in bits 64i .. 64i+63.  value() folds a code back to an element: the
     coefficients of g^n .. g^{2n-2} through the modulus (FieldSpec._red),
-    then every coordinate mod p.  FieldElement's sum, negation and product
-    are one int operation on codes and one fold; inside a polynomial or Weyl
-    product, codes (code(), or encode() for a whole map) are added and
-    multiplied as plain ints and decode() folds once per product, unpacking
-    the packed keys in the same pass.  check_pairs() guards the stride.
+    then every coordinate mod p; it is a closure (_folder) over constants
+    fixed when the codec is built, the codes of the images of g^n ..
+    g^{2n-2} among them, with no loop per call.  FieldElement's sum,
+    difference, negation and product are one int operation on codes and one
+    fold; inside a polynomial or Weyl product, codes (code(), or encode() for
+    a whole map) are added and multiplied as plain ints and decode() folds
+    once per product, unpacking the packed keys in the same pass.
+    check_pairs() guards the stride, which only codes of F_{p^n}, n > 1,
+    have (``strided``).
     """
 
     zero = 0
@@ -369,18 +414,26 @@ class FieldCodec:
     def __init__(self, spec: FieldSpec):
         p, n = spec.p, spec.n
         self.p, self.n = p, n
+        self.strided = n > 1
         self._elts = spec._elts
         # value v = v mod p + p * (v // p), so its code is v mod p plus the
         # code of v // p shifted up one coordinate
         self._codes = codes = list(range(p))
         for v in range(p, spec.q):
             codes.append(v % p + (codes[v // p] << CODE_STRIDE))
-        # (bit offset of the coefficient of g^{n+k}, code of its image)
-        self._folds = [(CODE_STRIDE * (n + k),
-                        sum(c << CODE_STRIDE * i for i, c in enumerate(row)))
-                       for k, row in enumerate(spec._red)]
-        self._low = (1 << CODE_STRIDE * n) - 1
-        self._shifts = [CODE_STRIDE * i for i in reversed(range(n))]
+        # the code of the image of g^(n+k) under the modulus, k = 0..n-2
+        self._images = [sum(c << CODE_STRIDE * i for i, c in enumerate(row))
+                        for row in spec._red]
+        self.value = _folder(p, n, self._images)
+
+    # value is a closure, which pickle cannot write: a copy builds its own
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "value"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self.value = _folder(self.p, self.n, self._images)
 
     def check_stride(self, bound: int) -> None:
         """Raise OverflowError when ``bound``, an upper bound on the
@@ -404,8 +457,8 @@ class FieldCodec:
     def check_pairs(self, pairs: int, scale: int = 1) -> None:
         """Guard the stride of a product with at most ``pairs`` code pairs
         on one key, each operand coordinate times at most ``scale`` (bound).
-        Codes of F_p have no stride to overflow."""
-        if self.n > 1:
+        Codes of F_p have no stride to overflow (``strided`` is False)."""
+        if self.strided:
             self.check_stride(self.bound(pairs, scale))
 
     def code(self, c: FieldElement) -> int:
@@ -414,21 +467,6 @@ class FieldCodec:
     def encode(self, coeffs: dict) -> dict:
         codes = self._codes
         return {k: codes[c.val] for k, c in coeffs.items()}
-
-    def value(self, code: int) -> int:
-        """The element (its index in FieldSpec._elts) of an unreduced code
-        with non-negative coordinates: the coefficients of g^n .. g^{2n-2}
-        folded through the modulus, every coordinate taken mod p."""
-        p = self.p
-        if self.n == 1:
-            return code % p
-        r = code & self._low
-        for shift, image in self._folds:
-            r += (code >> shift & _CODE_MASK) * image
-        v = 0
-        for shift in self._shifts:
-            v = v * p + (r >> shift & _CODE_MASK) % p
-        return v
 
     def decode(self, acc: dict, width: int = 0, arity: int = 1) -> dict:
         """Codes to this field's own interned elements, zeros dropped, and
@@ -440,3 +478,44 @@ class FieldCodec:
         mask, shifts = (1 << width) - 1, [s * width for s in range(arity)]
         return {tuple([k >> s & mask for s in shifts]): elts[v]
                 for k, c in acc.items() if (v := value(c))}
+
+
+def _folder(p: int, n: int, images: list):
+    """FieldCodec.value for F_{p^n}: the element (its index in
+    FieldSpec._elts) of an unreduced code with non-negative coordinates,
+    the coefficients of g^n .. g^{2n-2} folded through the modulus (the
+    coefficient of g^(n+k) times ``images[k]``, the code of the image of
+    g^(n+k)), then every coordinate taken mod p.  One closure per n, over
+    the field's constants, with the fold and the n coordinates written out:
+    no loop per call."""
+    M = _CODE_MASK
+    # bit offsets of the coordinates, the coefficients of g^1 .. g^6
+    s1, s2, s3, s4, s5, s6 = (CODE_STRIDE * i for i in range(1, 7))
+    low = (1 << CODE_STRIDE * n) - 1
+    if n == 1:
+        def value(code: int) -> int:
+            return code % p
+    elif n == 2:
+        (f0,) = images
+
+        def value(code: int) -> int:
+            r = (code & low) + (code >> s2 & M) * f0
+            return (r & M) % p + (r >> s1 & M) % p * p
+    elif n == 3:
+        f0, f1 = images
+        p2 = p * p
+
+        def value(code: int) -> int:
+            r = (code & low) + (code >> s3 & M) * f0 + (code >> s4 & M) * f1
+            return ((r & M) % p + (r >> s1 & M) % p * p
+                    + (r >> s2 & M) % p * p2)
+    else:
+        f0, f1, f2 = images
+        p2, p3 = p * p, p ** 3
+
+        def value(code: int) -> int:
+            r = ((code & low) + (code >> s4 & M) * f0
+                 + (code >> s5 & M) * f1 + (code >> s6 & M) * f2)
+            return ((r & M) % p + (r >> s1 & M) % p * p
+                    + (r >> s2 & M) % p * p2 + (r >> s3 & M) % p * p3)
+    return value

@@ -18,7 +18,8 @@ read them through _origin and _generators.  A power takes its argument
 check and its k = 0, zero and single-term cases from the base (a term
 whose powers need no reordering, _commutes, goes to its coefficient's
 power with every exponent times k) and otherwise runs its class's chain,
-_power: square-and-multiply here, WeylElement's own chain in weyl.py.
+_power: here, by the base-p digits of k through the Frobenius, with
+square-and-multiply per digit; WeylElement's own chain in weyl.py.
 
 Every product runs through one kernel, _mul_into, on int keys and int
 coefficient codes, and each operand goes in and comes out in one pass.
@@ -173,6 +174,11 @@ def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
 
 
 # -- the shared sparse base -----------------------------------------------
+
+
+def _key_times(key, k: int):
+    """An exponent key (an int or a tuple) with every exponent times k."""
+    return key * k if isinstance(key, int) else tuple(e * k for e in key)
 
 
 # (class, ring, shape) -> _Sparse._generators(ring, shape), for the last
@@ -334,9 +340,7 @@ class _Sparse:
         if len(self.coeffs) == 1:
             (key, c), = self.coeffs.items()
             if self._commutes(key):
-                key = key * k if isinstance(key, int) else tuple(
-                    e * k for e in key)
-                return self._from_nonzero({key: c ** k})
+                return self._from_nonzero({_key_times(key, k): c ** k})
         return self._power(k)
 
     def _commutes(self, key) -> bool:
@@ -346,18 +350,39 @@ class _Sparse:
         return True
 
     def _power(self, k: int):
-        """self^k for k >= 1 by square-and-multiply: k.bit_length() - 1
-        squarings and one product per further set bit of k, none for
-        k = 1."""
-        result = None
-        base = self
+        """self^k for k >= 1 in a commutative class, by the base-p digits of
+        k: with k = sum_i e_i p^i, self^k = prod_i F^i(self)^{e_i}, where the
+        Frobenius F (_frobenius), f -> f^p, is a ring map in characteristic
+        p that multiplies every exponent by p and raises every coefficient
+        to the p-th power (over K[t] that power is again a UniPoly's).  Each
+        digit e_i < p takes square-and-multiply: e_i.bit_length() - 1
+        squarings and one product per further set bit, none for e_i = 1."""
+        p = self.ring.characteristic
+        result, frob = None, self
         while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
+            k, e = divmod(k, p)
+            if e:
+                part, base = None, frob
+                while True:
+                    if e & 1:
+                        part = base if part is None else part * base
+                    e >>= 1
+                    if not e:
+                        break
+                    base = base * base
+                result = part if result is None else result * part
             if not k:
                 return result
-            base = base * base
+            frob = frob._frobenius()
+
+    def _frobenius(self):
+        """f -> f^p in a commutative class: every exponent times p and
+        every coefficient to the p-th power.  A nonzero coefficient's p-th
+        power is nonzero (no zero divisors), and distinct keys stay
+        distinct."""
+        p = self.ring.characteristic
+        return self._from_nonzero({_key_times(key, p): c ** p
+                                   for key, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -434,7 +459,7 @@ class _Sparse:
             c = self.coeffs[key]
             exps = (key,) if isinstance(key, int) else key
             mono = "*".join(m for m in map(_mono_str, names, exps) if m)
-            parts.append(_format_term(str(c), c == one, mono))
+            parts.append(_format_term(str(c), c is one or c == one, mono))
         return "+".join(parts)
 
     def __repr__(self) -> str:
@@ -518,10 +543,7 @@ class UniPoly(_Sparse):
 
     def frobenius(self) -> "UniPoly":
         """f -> f^p, i.e. coefficientwise Frobenius with exponents times p."""
-        p = self.ring.characteristic
-        return UniPoly(self.ring,
-                       {e * p: c.frobenius() for e, c in self.coeffs.items()},
-                       self.var)
+        return self._frobenius()
 
     def inv_frobenius(self) -> "UniPoly":
         """p-th root of a polynomial supported on exponents divisible by p."""
@@ -676,7 +698,9 @@ class PolyRing:
 class _PolyCodec:
     """Codes for K[t]: each element is its own code, so a product over K[t]
     keeps UniPoly arithmetic on its coefficients (whose own products run
-    through the codes of K)."""
+    through the codes of K), and they have no stride to guard."""
+
+    strided = False
 
     def __init__(self, ring: PolyRing):
         self.zero = ring.zero()

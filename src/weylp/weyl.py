@@ -27,26 +27,30 @@ the jacobian P_X Q_Y - P_Y Q_X is the order-1 term of [Q, P] (which is
 why res, keeping [d, x] = 1, lands in jacobian 1), and jacobian runs that
 order alone.  _bracket takes a sequence of right operands against one left
 one, packed and coded once: is_central runs its 2n generator commutators
-from that one coded operand.  The orders of a pair of exponent maxima are
-kept (_weyl_orders, a bounded cache).
+from that one coded operand.  What a bracket needs besides its operands
+depends only on its shape, the exponent maxima of its operands and the
+orders asked for, and is kept per shape (_weyl_orders, a bounded cache):
+the slot width, and per right operand the orders of a*b and b*a, each with
+its derivative offsets and k!.
 
 Powers over a field, the brute-force p-th powers behind res and the
 identity checks, are a chain acc <- acc * a on rows instead (the operator-
 by-blocks view of van der Hoeven, "FFT-like multiplication of linear
 differential operators", 2002, with Kronecker packing).  The chain has one
 layout, A_2's: an A_1 element runs as A_2 with x2 = d2 = 0, and the orders
-k of a step are _weyl_orders', as in _bracket, with acc's d-degrees taken
-at the final power's.  A row of acc is keyed by its d-exponents and holds
-its x-polynomial as one int, one x-slot per x-exponent (Kronecker in x1 and
-x2), each x-slot holding the 2n - 1 coefficients in g of an unreduced
-product of F_{p^n} codes at a sub-slot width proven wide enough for the
-chain.  The divided x-derivatives of a are packed once, split into
-x2-bands (one short row of x1-slots per d-exponent and x2-exponent, so
-that the row of an affine form a*x1 + b*x2 + c is two short ints, not one
-mostly empty one; without x2 there is one band); each step costs one bigint
-product per pair of rows, one shift per output row and band above 0, and
-one whole-row fold and mod-p reduction per output row (a Barrett
-step on every sub-slot at once), and the rows are decoded once at the end.
+k of a step are read from _weyl_orders' plan, as in _bracket, with acc's
+d-degrees taken at the final power's.  A row of acc is keyed by its
+d-exponents and holds its x-polynomial as one int, one x-slot per
+x-exponent (Kronecker in x1 and x2), each x-slot holding the 2n - 1
+coefficients in g of an unreduced product of F_{p^n} codes at a sub-slot
+width proven wide enough for the chain.  The divided x-derivatives of a
+are packed once, split into x2-bands (one short row of x1-slots per
+d-exponent and x2-exponent, so that the row of an affine form
+a*x1 + b*x2 + c is two short ints, not one mostly empty one; without x2
+there is one band); each step costs one bigint product per pair of rows,
+one shift per output row and band above 0, and one whole-row fold and
+mod-p reduction per output row (a Barrett step on every sub-slot at
+once), and the rows are decoded once at the end.
 A chain pays its set-up once per shape, not once per power: its orders
 come from _weyl_orders' cache, and its row layout, the layout's reduction
 (a closure over its constants), the sub-slot form of each element and the
@@ -74,7 +78,8 @@ two-variable analogue in A_2, both through one test, _pth_power_holds.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as _iterproduct
+from itertools import islice, product as _iterproduct
+from math import prod as _prod
 
 from .poly import (BiPoly, UniPoly, _coded, _divided_derivative, _lucas_tables,
                    _mul_into, _Sparse)
@@ -206,44 +211,85 @@ class WeylElement(_Sparse):
 
 
 @lru_cache(maxsize=1024)
-def _weyl_orders(p: int, n: int, ta: tuple, tb: tuple) -> tuple:
-    """The orders k (one per axis, each below p) of the commutation rule
-    that can contribute to a * b, for A_n elements whose largest exponents
-    per key slot are the tuples ta and tb: a only differentiates in d's, b
-    in x's.  The first is k = 0, the commutative product.  Kept for the
-    recent (p, n, ta, tb)."""
-    return tuple(_iterproduct(*[range(min(p, 1 + ta[n + s], 1 + tb[s]))
-                                for s in range(n)]))
+def _weyl_orders(p: int, n: int, ta: tuple, tbs: tuple, first: int = 0,
+                 last: int | None = None) -> tuple:
+    """The plan of the orders of the commutation rule that a product of one
+    A_n element a with each element b of a sequence runs over
+    characteristic p, by the largest exponents per key slot of a (ta) and
+    of each b (tbs, None for b = 0); kept for the recent shapes.
+
+    Returned: the bits w per packed key slot (enough for the sum of the
+    largest exponents), and per b (None for b = 0) the orders in [first,
+    last) of a * b, for first = 1 those of b * a, and the number of both.
+    An order k (one per axis, each below p) can contribute to a * b when
+    a's d-exponents and b's x-exponents reach it: a only differentiates in
+    d's, b in x's; the first is k = 0, the commutative product.  Each order
+    is given as _weyl_mul runs it: k, the bit offsets and orders of b's
+    divided x-derivatives and of a's divided d-derivatives (only the slots
+    with k_s > 0), and k! mod p.  _bracket reads the whole plan, the row
+    chain the orders k of a single b."""
+    w = (max(ta) + max(map(max, filter(None, tbs)), default=0)).bit_length()
+    fact = _lucas_tables(p)[1]
+
+    def planned(ta, tb):
+        orders = _iterproduct(*[range(min(p, 1 + ta[n + s], 1 + tb[s]))
+                                for s in range(n)])
+        return tuple((k, tuple((s * w, e) for s, e in enumerate(k) if e),
+                      tuple(((n + s) * w, e) for s, e in enumerate(k) if e),
+                      _prod(fact[e] for e in k) % p)
+                     for k in islice(orders, first, last))
+
+    plans = []
+    for tb in tbs:
+        if tb is None:
+            plans.append(None)
+            continue
+        ab = planned(ta, tb)
+        ba = planned(tb, ta) if first else ()
+        plans.append((ab, ba, len(ab) + len(ba)))
+    return w, tuple(plans)
+
+
+def _maxima(coeffs: dict) -> tuple:
+    """The largest exponent per key slot of a nonempty coefficient map; a
+    single term's key is its own."""
+    if len(coeffs) == 1:
+        for key in coeffs:
+            return key
+    return tuple(map(max, zip(*coeffs)))
 
 
 def _bracket(ring, n: int, a: dict, bs, first: int,
              last: int | None = None) -> list:
     """For each coefficient map b of the sequence ``bs``, the orders k in
     [first, last) (in _weyl_orders' order) of a * b, and for first = 1
-    those of b * a with k! times p - 1 (that is, negated, so that codes
-    stay non-negative), for the coefficient maps of A_n elements over
-    ``ring``: a packed and coded once for all of bs, each b once, every
-    order of one b into one accumulator, decoded once.  The product for
-    first = 0, the commutator [a, b] for first = 1, the jacobian for
-    n = 1, first = 1, last = 2; is_central runs the 2n generators of A_n
-    as bs."""
+    those of b * a with k! times p - 1 (that is, negated, so that codes stay
+    non-negative), for the coefficient maps of A_n elements over ``ring``:
+    a packed and coded once for all of bs, each b once, every order of one
+    b into one accumulator, decoded once.  The product for first = 0, the
+    commutator [a, b] for first = 1, the jacobian for n = 1, first = 1,
+    last = 2; is_central runs the 2n generators of A_n as bs.  The slot
+    width and each order's derivative offsets and k! come from the plan
+    kept per shape (_weyl_orders); the stride guard runs only where the
+    codec's codes have a stride (codec.strided)."""
     if not a:
         return [{} for _ in bs]
     codec, p = ring.codec, ring.characteristic
-    ta = tuple(map(max, zip(*a)))
-    tbs = [tuple(map(max, zip(*b))) if b else None for b in bs]
-    w = (max(ta) + max(map(max, filter(None, tbs)), default=0)).bit_length()
+    w, plans = _weyl_orders(
+        p, n, _maxima(a), tuple([_maxima(b) if b else None for b in bs]),
+        first, last)
     a = _coded(codec, a, w)
     out = []
-    for b, tb in zip(bs, tbs):
+    for b, plan in zip(bs, plans):
         acc: dict = {}
-        if tb:
+        if plan:
+            ab, ba, orders = plan
             b = _coded(codec, b, w)
-            ab = _weyl_orders(p, n, ta, tb)[first:last]
-            ba = _weyl_orders(p, n, tb, ta)[first:last] if first else ()
-            codec.check_pairs((len(ab) + len(ba)) * min(len(a), len(b)),
-                              (p - 1) ** 2)
-            _weyl_mul(codec, p, n, a, b, w, ab, acc)
+            if codec.strided:
+                codec.check_pairs(orders * min(len(a), len(b)),
+                                  (p - 1) ** 2)
+            if ab:
+                _weyl_mul(codec, p, n, a, b, w, ab, acc)
             if ba:
                 _weyl_mul(codec, p, n, b, a, w, ba, acc, p - 1)
         out.append(codec.decode(acc, w, 2 * n) if acc else acc)
@@ -258,28 +304,22 @@ def jacobian(P: BiPoly, Q: BiPoly) -> BiPoly:
     return P._from_nonzero(_bracket(P.ring, 1, Q.coeffs, (P.coeffs,), 1, 2)[0])
 
 
-def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int, ks,
+def _weyl_mul(codec, p: int, n: int, a: dict, b: dict, w: int, plan,
               acc: dict, sign: int = 1) -> dict:
-    """``acc`` plus the unreduced codes of sum over k in ``ks`` of
+    """``acc`` plus the unreduced codes of sum over the orders k of
+    ``plan`` (as _weyl_orders gives them) of
     sign * k! (d/d_xi)^[k]a * (d/dx)^[k]b, for A_n elements given by packed
     keys (slot width w) and reduced codes of ``codec``, over characteristic
-    p; ``sign`` (1 or p - 1) multiplies the scalars, which stay below p.
-    The caller guards the code stride (codec.check_pairs)."""
-    binom, fact = _lucas_tables(p)
+    p; ``sign`` (1 or p - 1) multiplies the scalars.  The caller guards the
+    code stride (codec.check_pairs)."""
+    binom = _lucas_tables(p)[0]
     zero = codec.zero
-    for k in ks:
-        B = _divided_derivative(
-            b, [(s * w, e) for s, e in enumerate(k) if e], w, binom, p, 1)
-        if not B:
-            continue
-        scalar = sign
-        for e in k:
-            scalar *= fact[e]
-        A = _divided_derivative(
-            a, [((n + s) * w, e) for s, e in enumerate(k) if e], w, binom, p,
-            scalar)
-        if A:
-            _mul_into(acc, A, B, zero)
+    for _, xoffsets, doffsets, fact in plan:
+        B = _divided_derivative(b, xoffsets, w, binom, p, 1)
+        if B:
+            A = _divided_derivative(a, doffsets, w, binom, p, fact * sign)
+            if A:
+                _mul_into(acc, A, B, zero)
     return acc
 
 
@@ -417,7 +457,9 @@ def _row_power(spec, n: int, coeffs: dict, k: int) -> dict:
     # the divided x-derivatives of a, as (d-key, x1-slot, band, element
     # index) terms per order
     orders = []
-    for k1, k2 in _weyl_orders(p, 2, tuple(k * t for t in top), top):
+    _, ((steps, _, _),) = _weyl_orders(p, 2, tuple(k * t for t in top),
+                                       (top,))
+    for (k1, k2), *_ in steps:
         part = []
         for i1, i2, j1, j2, v in terms:
             f = binom[i1 % p][k1] * binom[i2 % p][k2]

@@ -15,7 +15,7 @@ whole pass per side, the side that runs first switching every round.  A
 round's head / base ratio compares two passes run back to back, so both
 sides share whatever speed the host has at that moment.  Printed: each
 round's pass times and ratio, then the median and quartiles of the ratios
-and the rounds the head won (a ratio below 1).
+and the rounds the head won (a ratio that prints below 1.000).
 
 The exit status is 1 when the digests differ, a self-check fails, or a
 timed pass gives other outputs than the untimed one.
@@ -124,8 +124,11 @@ def main(argv=None) -> int:
         print("%5d  %5s  %6.4f  %6.4f  %9.3f" % (
             i + 1, order[0], seconds["base"], seconds["head"], ratios[-1]))
     q1, median, q3 = quartiles(ratios)
+    # a round is won on the ratio as printed: one in [0.9995, 1) reads
+    # 1.000, a tie
+    won = sum(float("%.3f" % r) < 1 for r in ratios)
     print("head/base median %.3f [%.3f, %.3f], head won %d of %d rounds"
-          % (median, q1, q3, sum(r < 1 for r in ratios), len(ratios)))
+          % (median, q1, q3, won, len(ratios)))
     return 0
 
 
