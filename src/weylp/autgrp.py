@@ -12,6 +12,23 @@ Generator alphabet (payloads over the coefficient field):
 Words multiply left to right with the convention (a b)(v) = a(b(v)); under it
 affine generators satisfy sigma_{A,a} sigma_{B,b} = sigma_{BA, Ba+b}.
 
+realize() turns a word into its image pair by generator actions: if sigma
+has the images (x', y'), then sigma o g has g's images read through sigma,
+
+    sigma o s        = (y', -x')
+    sigma o t_mu     = (mu x', mu^{-1} y')
+    sigma o gamma_mu = (mu x', y')
+    sigma o phi_f    = (x', y' + f(x'))
+    sigma o affine   = A (x', y')^T + a,
+
+one table (_ACTIONS) folded from the identity pair, which generator_images
+reads on the identity pair too.  No generator's images are built and
+compose, the substitution of one pair into another, is not called.  An
+AutWord built from outside input checks every generator; the words the
+package assembles from generators it built itself (decompose,
+normalize_word, invert_word, the pull-back of resmap.res_inverse) come
+through AutWord._built, without that check.
+
 decompose() factors an automorphism of Z into the canonical word
 gamma_mu t_nu phi_{f_1} s phi_{f_2} s ... phi_{f_n} (gamma omitted when the
 jacobian is 1) by leading-form degree reduction: while the degree exceeds 1,
@@ -30,7 +47,6 @@ peeled phi has a nonzero payload.
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import attrgetter
 
 from .gfq import FieldElement, FieldSpec
@@ -187,7 +203,9 @@ def _require_elements(gen: Generator, field: FieldSpec, values) -> None:
 class AutWord(Record):
     """A word over the generator alphabet, tied to a field and a target
     algebra (A1 or Z).  A_1 words never contain gamma and their affine
-    matrices have determinant 1."""
+    matrices have determinant 1.  The constructor checks every generator
+    against the field and the target; _built stores the words the package
+    assembles from generators it built itself, without that check."""
 
     __slots__ = ("field", "target", "gens")
 
@@ -222,6 +240,15 @@ class AutWord(Record):
                         "affine matrices on A_1 must have determinant 1")
             elif not isinstance(gen, GenS):
                 raise ValueError("unknown generator %r" % (gen,))
+
+    @classmethod
+    def _built(cls, field: FieldSpec, target: str, gens) -> "AutWord":
+        """A word of generators that the package built itself, each of a
+        kind and with payloads that the constructor's check accepts for
+        ``field`` and ``target``: stored without running that check again."""
+        word = object.__new__(cls)
+        word.field, word.target, word.gens = field, target, tuple(gens)
+        return word
 
     def __len__(self):
         return len(self.gens)
@@ -277,8 +304,8 @@ class AutImages(Record, _JacobianSlot):
             if img.ring is not field and img.ring != field:
                 raise ValueError("images must be over %s, not %s"
                                  % (field, img.ring))
-        # plain stores, not Record.__init__: realize and compose build one
-        # pair per generator
+        # plain stores, not Record.__init__: realize, compose and res each
+        # build a pair per call
         self.field = field
         self.target = target
         self.img_x = img_x
@@ -294,7 +321,7 @@ class AutImages(Record, _JacobianSlot):
             if jac.degree != 0:
                 raise NotAnAutomorphismError(
                     "jacobian %s is not a nonzero constant" % jac)
-        elif self._kept() != WeylElement.one(self.field):
+        elif not self._kept()._is_one(self.field):
             raise NotAnAutomorphismError(
                 "images do not preserve the relation [d, x] = 1")
         return self
@@ -352,15 +379,30 @@ def _affine_keys(gens) -> list:
 
 
 def affine_forms(gens, matrix, translation) -> list:
-    """The images sum_j A_ij g_j + a_i of the generators g_j under the affine
-    map with matrix A and translation a (entries read in the generators'
-    ring), each built as one coefficient map on _affine_keys."""
+    """The forms sum_j A_ij g_j + a_i in the elements g_j (the generators, or
+    the images of the generators under an automorphism) for the affine map
+    with matrix A and translation a (entries read in the elements' ring),
+    each built as one coefficient map.  A coefficient one of g_j (each
+    generator's) is not multiplied, and a key that only one term reaches
+    is not added to."""
     _check_affine(matrix, translation, len(gens))
-    keys, coerce = _affine_keys(gens), gens[0].ring.coerce
-    return [gens[0]._from_nonzero(
-        {key: c for key, c in zip(keys, map(coerce, (*row, a)))
-         if not c.is_zero()})
-        for row, a in zip(matrix, translation)]
+    first = gens[0]
+    ring = first.ring
+    coerce, one = ring.coerce, ring.one()
+    # the terms of each g_j, then the unit term that the translation scales
+    terms_of = [g.coeffs.items() for g in gens] + [((first._origin, one),)]
+    forms = []
+    for row, a in zip(matrix, translation):
+        acc: dict = {}
+        get = acc.get
+        for terms, c in zip(terms_of, map(coerce, (*row, a))):
+            if not c.is_zero():
+                for key, v in terms:
+                    t = c if v is one else v * c
+                    acc[key] = t if (s := get(key)) is None else s + t
+        forms.append(first._from_nonzero(
+            {key: c for key, c in acc.items() if not c.is_zero()}))
+    return forms
 
 
 def _affine_part(maps, gens, zero) -> tuple:
@@ -369,27 +411,35 @@ def _affine_part(maps, gens, zero) -> tuple:
     ``maps``, read at _affine_keys, with ``zero`` where a key is absent.
     Raises AssertionError on any other key."""
     keys = _affine_keys(gens)
+    known = set(keys)
     rows = []
     for m in maps:
-        if set(m) - set(keys):
+        if not m.keys() <= known:
             raise AssertionError("image is not affine")
-        rows.append(tuple(m.get(key, zero) for key in keys))
+        rows.append(tuple([m.get(key, zero) for key in keys]))
     return tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows)
 
 
+# sigma o gen, for a generator gen and the images (x, y) under sigma of the
+# two algebra generators: gen's own images read through sigma, so a word is
+# realized without substituting into generator images.  On the identity
+# pair each entry gives gen's images.
+_ACTIONS = {
+    GenS: lambda gen, x, y: (y, -x),
+    GenT: lambda gen, x, y: (x.scale(gen.mu), y.scale(gen.mu.inv())),
+    GenGamma: lambda gen, x, y: (x.scale(gen.mu), y),
+    GenPhi: lambda gen, x, y: (x, gen.payload._plus_at(y, x)),
+    GenAffine: lambda gen, x, y: tuple(
+        affine_forms((x, y), gen.matrix, gen.translation)),
+}
+
+
 def generator_images(gen: Generator, field: FieldSpec, target: str) -> AutImages:
-    x, y = _gens(field, target)
-    if isinstance(gen, GenS):
-        images = (y, -x)
-    elif isinstance(gen, GenT):
-        images = (x.scale(gen.mu), y.scale(gen.mu.inv()))
-    elif isinstance(gen, GenGamma):
-        images = (x.scale(gen.mu), y)
-    elif isinstance(gen, GenPhi):
-        images = (x, y + type(x).from_unipoly(gen.payload))
-    else:
-        images = affine_forms((x, y), gen.matrix, gen.translation)
-    return AutImages(field, target, *images, validate=False)
+    """The images of one generator: its _ACTIONS entry on the identity
+    pair, unvalidated."""
+    return AutImages(field, target,
+                     *_ACTIONS[type(gen)](gen, *_gens(field, target)),
+                     validate=False)
 
 
 def compose(a: AutImages, b: AutImages) -> AutImages:
@@ -403,12 +453,17 @@ def compose(a: AutImages, b: AutImages) -> AutImages:
 
 
 def realize(word: AutWord) -> AutImages:
-    """Images of a word, composed left to right from its first generator's
-    images; the identity's for the empty word."""
+    """Images of a word g_1 ... g_k, the left fold of compose from the
+    identity, by generator actions: from the identity pair, each generator
+    g_i turns the images of g_1 ... g_{i-1} into those of g_1 ... g_i by its
+    _ACTIONS entry (s swaps them with a sign, t and gamma scale, phi_f adds
+    f of the first image to the second, affine takes linear combinations),
+    so no generator's images are built and none is substituted into."""
     field, target = word.field, word.target
-    return reduce(compose, [generator_images(gen, field, target)
-                            for gen in word.gens]
-                  or [identity_images(field, target)])
+    x, y = _gens(field, target)
+    for gen in word.gens:
+        x, y = _ACTIONS[type(gen)](gen, x, y)
+    return AutImages(field, target, x, y, validate=False)
 
 
 def apply_images(a: AutImages, z) -> object:
@@ -424,7 +479,7 @@ def apply_images(a: AutImages, z) -> object:
 
 def in_gamma(a: AutImages) -> bool:
     """Whether the jacobian is the constant 1."""
-    return a.jacobian() == BiPoly.one(a.field)
+    return a.jacobian()._is_one(a.field)
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +506,7 @@ def invert_word(word: AutWord) -> AutWord:
             inv = _inv2(gen.matrix)
             (t0,), (t1,) = mat_mul(inv, tuple(zip(gen.translation)))
             out.append(GenAffine(inv, (-t0, -t1)))
-    return AutWord(word.field, word.target, out)
+    return AutWord._built(word.field, word.target, out)
 
 
 def _phi_rescaled(payload: UniPoly, mu: FieldElement, extra: int) -> UniPoly:
@@ -504,7 +559,7 @@ def normalize_word(word: AutWord) -> AutWord:
         if rewrites > 10000:
             raise AssertionError("word normalization did not terminate")
         todo.extend(reversed(rule(out.pop(), b, one)))
-    return AutWord(field, word.target, out)
+    return AutWord._built(field, word.target, out)
 
 
 # ----------------------------------------------------------------------
@@ -513,21 +568,38 @@ def normalize_word(word: AutWord) -> AutWord:
 
 def _leading_scalar(big: BiPoly, small: BiPoly, degree: int):
     """Scalar c with lf(big) = c * lf(small), where both polynomials have
-    total degree ``degree``, or None."""
-    lf_big, lf_small = ({k: c for k, c in f.coeffs.items() if sum(k) == degree}
-                        for f in (big, small))
-    key = next(iter(lf_small))
-    if key not in lf_big:
+    total degree ``degree``, or None: c is read at one key of lf(small),
+    and the leading forms must have as many terms, each of big's c times
+    small's at the same key."""
+    lf_small = [(k, v) for k, v in small.coeffs.items() if sum(k) == degree]
+    coeffs = big.coeffs
+    key, v = lf_small[0]
+    if key not in coeffs:
         return None
-    c = lf_big[key] * lf_small[key].inv()
-    return c if lf_big == {k: v * c for k, v in lf_small.items()} else None
+    c = coeffs[key] * v.inv()
+    if sum(sum(k) == degree for k in coeffs) != len(lf_small):
+        return None
+    return c if all(coeffs.get(k) == v * c for k, v in lf_small) else None
+
+
+def _minus_scaled(Q: BiPoly, pm: BiPoly, c: FieldElement) -> BiPoly:
+    """Q - c pm in one sum over pm's terms, the keys that cancel dropped."""
+    out = dict(Q.coeffs)
+    zero = Q.ring.zero()
+    for k, v in pm.coeffs.items():
+        if (d := out.get(k, zero) - v * c).is_zero():
+            del out[k]
+        else:
+            out[k] = d
+    return Q._from_nonzero(out)
 
 
 def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
     """Factor a degree-1 pair of Z images into [gamma] [t] (s/linear-phi
     word).  The linear part is never singular: its determinant is the
     jacobian, a nonzero constant, which decompose validated and its steps
-    kept."""
+    kept.  What normalize_word would rewrite at once is left out: t_1, and
+    a linear phi followed by the constant one, which come as one phi."""
     one = field.one()
     ((a, b), (c, d)), (e, f) = _affine_part(
         (img_x.coeffs, img_y.coeffs), _gens(field, Z), field.zero())
@@ -537,29 +609,35 @@ def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
         gens.append(GenGamma(det))
         det_inv = det.inv()
         a, c = a * det_inv, c * det_inv
-    x_var = UniPoly.variable(field, "X")
 
-    def phi_lin(coef: FieldElement) -> GenPhi:
-        return GenPhi(x_var.scale(coef))
+    def phi(coeffs: dict) -> GenPhi:
+        # phi of sum coeffs[k] X^k, every coefficient nonzero
+        return GenPhi(UniPoly(field, coeffs, "X"))
 
+    # the payload of the last phi: a linear term, then the constant f
+    last = {}
+    mu = a if b.is_zero() else b.inv()
+    if mu != one:
+        gens.append(GenT(mu))
     if b.is_zero():
-        gens.append(GenT(a))
         if not c.is_zero():
-            gens.append(phi_lin(c * a.inv()))
+            last[1] = c * a.inv()
     else:
-        b_inv = b.inv()
-        gens.append(GenT(b_inv))
         if not a.is_zero():
-            gens.append(phi_lin(a * b))
+            gens.append(phi({1: a * b}))
         gens.append(GenS())
         if not d.is_zero():
-            gens.append(phi_lin(d * b_inv))
+            last[1] = d * mu
     if not e.is_zero():
+        if last:
+            gens.append(phi(last))
+            last = {}
         # X-translation by e: s phi_{-e} s^{-1}
-        gens.extend([GenS(), GenPhi(UniPoly.constant(field, -e, "X")),
-                     GenT(-one), GenS()])
+        gens.extend([GenS(), phi({0: -e}), GenT(-one), GenS()])
     if not f.is_zero():
-        gens.append(GenPhi(UniPoly.constant(field, f, "X")))
+        last[0] = f
+    if last:
+        gens.append(phi(last))
     return gens
 
 
@@ -593,7 +671,7 @@ def decompose(a: AutImages) -> AutWord:
             tail.insert(0, GenS())
         # reduce Q by multiples of powers of P; K[X, Y] is a domain, so
         # the leading form of P^m is lf(P)^m
-        payload = UniPoly.zero(field, "X")
+        payload = {}
         while dq >= max(dp, 2):
             m, rem = divmod(dq, dp)
             if rem:
@@ -605,14 +683,15 @@ def decompose(a: AutImages) -> AutWord:
             if c is None:
                 raise NotAnAutomorphismError(
                     "degree reduction stalled: leading forms do not cancel")
-            payload = payload + UniPoly.monomial(field, m, c, "X")
-            Q = Q - pm.scale(c)
+            # m falls from step to step: each is a new key of the payload
+            payload[m] = c
+            Q = _minus_scaled(Q, pm, c)
             dq = Q.degree
-        tail.insert(0, GenPhi(payload))
+        tail.insert(0, GenPhi(UniPoly(field, payload, "X")))
     gens = _affine_word(field, P, Q) + tail
-    word = normalize_word(AutWord(field, Z, gens))
+    word = normalize_word(AutWord._built(field, Z, gens))
     if not word.gens:
-        word = AutWord(field, Z, [GenT(field.one())])
+        word = AutWord._built(field, Z, [GenT(field.one())])
     return word
 
 

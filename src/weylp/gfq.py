@@ -19,9 +19,10 @@ written out.  A binary operator takes an element of its own field before
 coercing anything else.
 
 What does not change, an element pays for once: its inverse (one power,
-a^(q-2)) and its text are computed on first use and kept in lists of the
-FieldSpec (_invs, _texts), each allocated on its first use, so a field
-holds only the values its callers asked for and has no q x q table.
+a^(q-2)), its p-th root over F_{p^n} (one power, a^(p^(n-1))) and its text
+are computed on first use and kept in lists of the FieldSpec (_invs,
+_roots, _texts), each allocated on its first use, so a field holds only
+the values its callers asked for and has no q x q table.
 
 Terms are printed by one printer, _mono_str and _format_term: the
 polynomials in g here (_g_str, behind elements and moduli) and the sparse
@@ -241,9 +242,19 @@ class FieldElement:
         return self ** self.spec.p
 
     def inv_frobenius(self) -> "FieldElement":
-        """The unique p-th root: a -> a^{p^{n-1}}."""
+        """The unique p-th root: a -> a^{p^{n-1}}, the element itself over
+        F_p; over F_{p^n} computed once per element and kept
+        (FieldSpec._roots)."""
         spec = self.spec
-        return self ** (spec.p ** (spec.n - 1))
+        if spec.n == 1:
+            return self
+        roots = spec._roots
+        if roots is None:
+            roots = spec._roots = [None] * spec.q
+        root = roots[self.val]
+        if root is None:
+            root = roots[self.val] = self ** (spec.p ** (spec.n - 1))
+        return root
 
     def __eq__(self, other) -> bool:
         if type(other) is FieldElement and other.spec is self.spec:
@@ -302,6 +313,9 @@ class FieldSpec:
         self.n = n
         self.q = p**n
         self.modulus = modulus
+        # the hash of what equality compares, taken once: fields key the
+        # element hashes, the kept generators and the row layouts
+        self._hash = hash((p, n, modulus))
         # images of g^{n+k} for k = 0..n-2, as basis vectors
         red = []
         for k in range(n - 1):
@@ -310,10 +324,10 @@ class FieldSpec:
         self._red = red
         self._elts = [FieldElement(self, v) for v in range(self.q)]
         self.codec = FieldCodec(self)
-        # the inverses and texts of the elements by index, None until first
-        # asked for; each list is allocated on its first use, so a field
-        # pays for the values its callers use, not for q of them here
-        self._invs = self._texts = None
+        # the inverses, p-th roots and texts of the elements by index, None
+        # until first asked for; each list is allocated on its first use, so
+        # a field pays for the values its callers use, not for q of them here
+        self._invs = self._roots = self._texts = None
 
     @property
     def characteristic(self) -> int:
@@ -379,7 +393,7 @@ class FieldSpec:
         return (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.n, self.modulus))
+        return self._hash
 
     def __str__(self) -> str:
         if self.n == 1:

@@ -10,9 +10,14 @@ one unit key per slot, built once per class, ring object and shape and
 shared by every caller, BiPoly.gens and the A_n generators among them),
 the lift from_unipoly of f(x) into the first generator, addition (which
 drops the keys that cancel, so that no sum is filtered again), negation,
-scaling, powers, equality, the canonical printer (through the term
-helpers of gfq.py, _mono_str and _format_term, which also print the
-polynomials in g) and substitution through cached powers of the images.
+scaling, powers, equality, the test against the unit on the coefficient
+map (_is_one, which builds no unit), the canonical printer (through the
+term helpers of gfq.py, _mono_str and _format_term, which also print the
+polynomials in g; the text of each monomial is kept per printing symbols
+and key in a bounded cache, _monomial_text) and substitution through
+cached powers of the images, every term added into one coefficient map.
+UniPoly adds f at a single term whose powers need no reordering to an
+element as one coefficient map (_plus_at): the phi step of autgrp.realize.
 Exponent keys are spelled here and in weyl.py only; the other modules
 read them through _origin and _generators.  A power takes its argument
 check and its k = 0, zero and single-term cases from the base (a term
@@ -178,7 +183,17 @@ def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
 
 def _key_times(key, k: int):
     """An exponent key (an int or a tuple) with every exponent times k."""
-    return key * k if isinstance(key, int) else tuple(e * k for e in key)
+    return key * k if isinstance(key, int) else tuple([e * k for e in key])
+
+
+@lru_cache(maxsize=4096)
+def _monomial_text(names: tuple, key) -> str:
+    """The monomial of the exponent key ``key`` (an int or a tuple) in the
+    printing symbols ``names``, one per key slot, as _Sparse.__str__ prints
+    it: the factors of _mono_str joined by "*", empty at the origin; kept
+    for the recent (names, key) pairs."""
+    exps = (key,) if isinstance(key, int) else key
+    return "*".join(m for m in map(_mono_str, names, exps) if m)
 
 
 # (class, ring, shape) -> _Sparse._generators(ring, shape), for the last
@@ -256,16 +271,27 @@ class _Sparse:
         out = object.__new__(type(self))
         out.ring = self.ring
         out.coeffs = coeffs
-        setattr(out, self._SHAPE, self._shape())
+        shape = self._SHAPE
+        setattr(out, shape, getattr(self, shape))
         return out
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def _is_one(self, ring) -> bool:
+        """self == one(ring), decided on the coefficient map at _origin
+        without building the unit: at the constructor's default shape, as
+        one(ring) is, one term, there, equal to ring.one() (which holds
+        only over a ring equal to ``ring``)."""
+        coeffs = self.coeffs
+        return (len(coeffs) == 1
+                and self._shape() == self.__init__.__defaults__[0]
+                and coeffs.get(self._origin) == ring.one())
+
     @property
     def degree(self):
         """Total degree; -inf for 0."""
-        return max((sum(k) for k in self.coeffs), default=NEG_INF)
+        return max(map(sum, self.coeffs), default=NEG_INF)
 
     def coefficient(self, key):
         if not isinstance(key, int):
@@ -322,7 +348,9 @@ class _Sparse:
         return self.scale(other)
 
     def scale(self, c):
-        c = self.ring.coerce(c)
+        # an element of our own field needs no coercion
+        if type(c) is not FieldElement or c.spec is not self.ring:
+            c = self.ring.coerce(c)
         if c.is_zero():
             return self._from_nonzero({})
         return self._from_nonzero({k: v * c for k, v in self.coeffs.items()})
@@ -392,21 +420,25 @@ class _Sparse:
 
     __hash__ = None
 
-    def _substitute(self, images: list):
+    def _substitute(self, images: list, base=None):
         """Image under the ring homomorphism sending key slot k to
         images[k] (elements of any algebra over the same coefficient ring,
-        e.g. polynomials or Weyl elements).  Powers of each image are
+        e.g. polynomials or Weyl elements), added to ``base`` (an element of
+        the images' class, ring and shape, or None for 0).  Powers of each image are
         computed once and shared by all terms, those of a single-term image
         by its own power (``**``, no product when the term commutes with
         itself); a term multiplies its powers in slot order, which matters
-        when the images do not commute.  The unit is built only for a
-        constant term and for 0, and a term is scaled only by a coefficient
-        other than one."""
+        when the images do not commute.  Every term, times its coefficient
+        (unless that is one), adds into one coefficient map, a constant
+        term at the origin key, so no unit is built and no partial sum is
+        copied; the keys that cancel are dropped once, at the end."""
         # index 0 of each cache is never read: a zero exponent is skipped
         powers = [[None, img] for img in images]
-        one = self.ring.one()
-        result = None
-        for key in sorted(self.coeffs):
+        first = images[0]
+        one, zero = self.ring.one(), first.ring.zero()
+        acc: dict = {} if base is None else dict(base.coeffs)
+        get = acc.get
+        for key, c in self.coeffs.items():
             term = None
             exps = (key,) if isinstance(key, int) else key
             for cache, e in zip(powers, exps):
@@ -418,11 +450,16 @@ class _Sparse:
                                      else cache[-1] * base)
                     term = cache[e] if term is None else term * cache[e]
             if term is None:
-                term = images[0] ** 0
-            if (c := self.coeffs[key]) != one:
-                term = term * c
-            result = term if result is None else result + term
-        return images[0] ** 0 * self.ring.zero() if result is None else result
+                origin = first._origin
+                acc[origin] = get(origin, zero) + c
+            elif c is one or c == one:
+                for k, v in term.coeffs.items():
+                    acc[k] = get(k, zero) + v
+            else:
+                for k, v in term.coeffs.items():
+                    acc[k] = get(k, zero) + v * c
+        return first._from_nonzero(
+            {k: v for k, v in acc.items() if not v.is_zero()})
 
     def _lower(self, slot: int, k: int, factor):
         """The derivative rule: each term with exponent e in key slot
@@ -450,6 +487,9 @@ class _Sparse:
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
+        """The terms from the highest key down, each printed by
+        _format_term from its coefficient's text and the text of its
+        monomial, which _monomial_text keeps per (names, key)."""
         if not self.coeffs:
             return "0"
         names = self._names()
@@ -457,9 +497,8 @@ class _Sparse:
         parts = []
         for key in sorted(self.coeffs, reverse=True):
             c = self.coeffs[key]
-            exps = (key,) if isinstance(key, int) else key
-            mono = "*".join(m for m in map(_mono_str, names, exps) if m)
-            parts.append(_format_term(str(c), c is one or c == one, mono))
+            parts.append(_format_term(str(c), c is one or c == one,
+                                      _monomial_text(names, key)))
         return "+".join(parts)
 
     def __repr__(self) -> str:
@@ -489,8 +528,8 @@ class UniPoly(_Sparse):
     def variable(cls, ring, var: str = "x") -> "UniPoly":
         return cls(ring, {1: ring.one()}, var)
 
-    def _names(self) -> list[str]:
-        return [self.var]
+    def _names(self) -> tuple:
+        return (self.var,)
 
     # -- structure ----------------------------------------------------
 
@@ -575,7 +614,40 @@ class UniPoly(_Sparse):
     def substitute(self, value):
         """Evaluate at ``value`` (any element of an algebra over the same
         coefficient ring, e.g. a polynomial or Weyl element)."""
-        return self._substitute([value])
+        return self._plus_at(None, value)
+
+    def _plus_at(self, base, value):
+        """base + f(value), for ``base`` an element of value's class, ring
+        object and shape, or None for 0.  At a single non-constant term
+        c m of our ring object whose powers need no reordering
+        (_commutes), f(c m) = sum_e f_e c^e m^e: its terms, at distinct
+        keys (m's times e) and nonzero, add into one copy of base's
+        coefficient map, with c^e taken by running products up to the
+        degree.  Otherwise f(value) is a substitution into base's map."""
+        coeffs, ring = value.coeffs, self.ring
+        if (len(coeffs) == 1 and value.ring is ring
+                and (base is None or base.ring is ring)):
+            (key, c), = coeffs.items()
+            if key != value._origin and value._commutes(key):
+                powers = None
+                if c != ring.one():
+                    powers = [ring.one()]
+                    for _ in range(max(self.coeffs, default=0)):
+                        powers.append(powers[-1] * c)
+                out = {} if base is None else dict(base.coeffs)
+                get = out.get
+                for e, v in self.coeffs.items():
+                    k = _key_times(key, e)
+                    if powers:
+                        v = powers[e] * v
+                    if (old := get(k)) is None:
+                        out[k] = v
+                    elif (v := old + v).is_zero():
+                        del out[k]
+                    else:
+                        out[k] = v
+                return value._from_nonzero(out)
+        return self._substitute([value], base)
 
 
 class BiPoly(_Sparse):

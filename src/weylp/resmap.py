@@ -99,14 +99,14 @@ def res_inverse(g: AutImages) -> AutImages:
     gens = []
     for gen in word.gens:
         if isinstance(gen, GenS):
-            gens.append(GenS())
+            gens.append(gen)
         elif isinstance(gen, GenT):
             gens.append(GenT(gen.mu.inv_frobenius()))
         elif isinstance(gen, GenPhi):
             gens.append(GenPhi(theta_inverse(gen.payload.expand_inner("x"))))
         else:
             raise AssertionError("%s in a jacobian-1 decomposition" % (gen,))
-    return realize(AutWord(g.field, A1, gens))
+    return realize(AutWord._built(g.field, A1, gens))
 
 
 # ----------------------------------------------------------------------

@@ -495,8 +495,9 @@ class TestPhiPayloadType:
 
 
 class TestRealizeFold:
-    """realize starts from the first generator's images: the same images
-    as the left fold of compose from the identity, one compose fewer."""
+    """realize folds generator actions into the image pair: the same images
+    as the left fold of compose from the identity, without calling
+    compose."""
 
     @pytest.mark.parametrize("target", [A1, Z])
     def test_empty_word_is_identity(self, target):
@@ -538,7 +539,7 @@ class TestRealizeFold:
                 monkeypatch.setattr(autgrp, "compose", counted)
                 del calls[:]
                 assert realize(word) == expected
-                assert len(calls) == max(len(word) - 1, 0)
+                assert not calls
                 monkeypatch.undo()
 
 

@@ -10,12 +10,16 @@ root:
 
 Each side first builds the restriction case list of ``--seed`` and runs
 one untimed pass; the digests of the two sides' outputs must be equal and
-every case's self-check must hold.  Then ``--rounds`` rounds, each one
-whole pass per side, the side that runs first switching every round.  A
-round's head / base ratio compares two passes run back to back, so both
-sides share whatever speed the host has at that moment.  Printed: each
-round's pass times and ratio, then the median and quartiles of the ratios
-and the rounds the head won (a ratio that prints below 1.000).
+every case's self-check must hold.  Then ``--rounds`` rounds, each
+PASSES_PER_ROUND whole passes per side, the two sides taking turns pass
+by pass; the side that runs first switches every pass, and every round.
+A round's head / base ratio compares the two sides' summed pass times,
+taken interleaved, so both sides share whatever speed the host has over
+the round, and each side's time spans several passes, long against one
+pass (a tenth of a second) and against the host's shortest swings in
+speed.  Printed: each round's summed pass times and ratio, then the median
+and quartiles of the ratios and the rounds the head won (a ratio that
+prints below 1.000).
 
 The exit status is 1 when the digests differ, a self-check fails, or a
 timed pass gives other outputs than the untimed one.
@@ -34,6 +38,8 @@ from time import perf_counter
 from bench_pairs import quartiles
 
 WORKLOAD = "restriction"
+# whole passes per side in each round, interleaved, timed as one sum
+PASSES_PER_ROUND = 5
 
 
 def _load(name: str, path: str, package_dir=None):
@@ -83,6 +89,21 @@ def timed_pass(cases) -> tuple:
     return perf_counter() - t0, outputs
 
 
+def timed_round(cases: dict, references: dict, order: tuple) -> tuple:
+    """Per side of ``order``, the summed seconds of PASSES_PER_ROUND whole
+    passes over its ``cases``, the sides taking turns pass by pass, the
+    first being order[0] and then switching every pass; and the side of a
+    pass that gave other outputs than its ``references``, or None."""
+    seconds = dict.fromkeys(order, 0.0)
+    for i in range(PASSES_PER_ROUND):
+        for side in order if i % 2 == 0 else order[::-1]:
+            t, outputs = timed_pass(cases[side])
+            if outputs != references[side]:
+                return seconds, side
+            seconds[side] += t
+    return seconds, None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="base checkout")
@@ -113,13 +134,10 @@ def main(argv=None) -> int:
     ratios = []
     for i in range(args.rounds):
         order = sides if i % 2 == 0 else sides[::-1]
-        seconds = {}
-        for side in order:
-            seconds[side], outputs = timed_pass(cases[side])
-            if outputs != references[side]:
-                print("round %d: the %s pass gave other outputs"
-                      % (i + 1, side))
-                return 1
+        seconds, other = timed_round(cases, references, order)
+        if other:
+            print("round %d: a %s pass gave other outputs" % (i + 1, other))
+            return 1
         ratios.append(seconds["head"] / seconds["base"])
         print("%5d  %5s  %6.4f  %6.4f  %9.3f" % (
             i + 1, order[0], seconds["base"], seconds["head"], ratios[-1]))
