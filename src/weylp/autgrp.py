@@ -411,12 +411,11 @@ def _affine_part(maps, gens, zero) -> tuple:
     ``maps``, read at _affine_keys, with ``zero`` where a key is absent.
     Raises AssertionError on any other key."""
     keys = _affine_keys(gens)
-    known = set(keys)
     rows = []
     for m in maps:
-        if not m.keys() <= known:
+        if set(m) - set(keys):
             raise AssertionError("image is not affine")
-        rows.append(tuple([m.get(key, zero) for key in keys]))
+        rows.append(tuple(m.get(key, zero) for key in keys))
     return tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows)
 
 
@@ -428,7 +427,7 @@ _ACTIONS = {
     GenS: lambda gen, x, y: (y, -x),
     GenT: lambda gen, x, y: (x.scale(gen.mu), y.scale(gen.mu.inv())),
     GenGamma: lambda gen, x, y: (x.scale(gen.mu), y),
-    GenPhi: lambda gen, x, y: (x, gen.payload._plus_at(y, x)),
+    GenPhi: lambda gen, x, y: (x, gen.payload._substitute([x], y)),
     GenAffine: lambda gen, x, y: tuple(
         affine_forms((x, y), gen.matrix, gen.translation)),
 }
@@ -598,8 +597,7 @@ def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
     """Factor a degree-1 pair of Z images into [gamma] [t] (s/linear-phi
     word).  The linear part is never singular: its determinant is the
     jacobian, a nonzero constant, which decompose validated and its steps
-    kept.  What normalize_word would rewrite at once is left out: t_1, and
-    a linear phi followed by the constant one, which come as one phi."""
+    kept."""
     one = field.one()
     ((a, b), (c, d)), (e, f) = _affine_part(
         (img_x.coeffs, img_y.coeffs), _gens(field, Z), field.zero())
@@ -609,35 +607,29 @@ def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:
         gens.append(GenGamma(det))
         det_inv = det.inv()
         a, c = a * det_inv, c * det_inv
+    x_var = UniPoly.variable(field, "X")
 
-    def phi(coeffs: dict) -> GenPhi:
-        # phi of sum coeffs[k] X^k, every coefficient nonzero
-        return GenPhi(UniPoly(field, coeffs, "X"))
+    def phi_lin(coef: FieldElement) -> GenPhi:
+        return GenPhi(x_var.scale(coef))
 
-    # the payload of the last phi: a linear term, then the constant f
-    last = {}
-    mu = a if b.is_zero() else b.inv()
-    if mu != one:
-        gens.append(GenT(mu))
     if b.is_zero():
+        gens.append(GenT(a))
         if not c.is_zero():
-            last[1] = c * a.inv()
+            gens.append(phi_lin(c * a.inv()))
     else:
+        b_inv = b.inv()
+        gens.append(GenT(b_inv))
         if not a.is_zero():
-            gens.append(phi({1: a * b}))
+            gens.append(phi_lin(a * b))
         gens.append(GenS())
         if not d.is_zero():
-            last[1] = d * mu
+            gens.append(phi_lin(d * b_inv))
     if not e.is_zero():
-        if last:
-            gens.append(phi(last))
-            last = {}
         # X-translation by e: s phi_{-e} s^{-1}
-        gens.extend([GenS(), phi({0: -e}), GenT(-one), GenS()])
+        gens.extend([GenS(), GenPhi(UniPoly.constant(field, -e, "X")),
+                     GenT(-one), GenS()])
     if not f.is_zero():
-        last[0] = f
-    if last:
-        gens.append(phi(last))
+        gens.append(GenPhi(UniPoly.constant(field, f, "X")))
     return gens
 
 

@@ -19,10 +19,9 @@ written out.  A binary operator takes an element of its own field before
 coercing anything else.
 
 What does not change, an element pays for once: its inverse (one power,
-a^(q-2)), its p-th root over F_{p^n} (one power, a^(p^(n-1))) and its text
-are computed on first use and kept in lists of the FieldSpec (_invs,
-_roots, _texts), each allocated on its first use, so a field holds only
-the values its callers asked for and has no q x q table.
+a^(q-2)) and its text are computed on first use and kept in lists of the
+FieldSpec (_invs, _texts), each allocated on its first use, so a field
+holds only the values its callers asked for and has no q x q table.
 
 Terms are printed by one printer, _mono_str and _format_term: the
 polynomials in g here (_g_str, behind elements and moduli) and the sparse
@@ -242,19 +241,9 @@ class FieldElement:
         return self ** self.spec.p
 
     def inv_frobenius(self) -> "FieldElement":
-        """The unique p-th root: a -> a^{p^{n-1}}, the element itself over
-        F_p; over F_{p^n} computed once per element and kept
-        (FieldSpec._roots)."""
+        """The unique p-th root: a -> a^{p^{n-1}}."""
         spec = self.spec
-        if spec.n == 1:
-            return self
-        roots = spec._roots
-        if roots is None:
-            roots = spec._roots = [None] * spec.q
-        root = roots[self.val]
-        if root is None:
-            root = roots[self.val] = self ** (spec.p ** (spec.n - 1))
-        return root
+        return self ** (spec.p ** (spec.n - 1))
 
     def __eq__(self, other) -> bool:
         if type(other) is FieldElement and other.spec is self.spec:
@@ -324,10 +313,10 @@ class FieldSpec:
         self._red = red
         self._elts = [FieldElement(self, v) for v in range(self.q)]
         self.codec = FieldCodec(self)
-        # the inverses, p-th roots and texts of the elements by index, None
-        # until first asked for; each list is allocated on its first use, so
-        # a field pays for the values its callers use, not for q of them here
-        self._invs = self._roots = self._texts = None
+        # the inverses and texts of the elements by index, None until first
+        # asked for; each list is allocated on its first use, so a field
+        # pays for the values its callers use, not for q of them here
+        self._invs = self._texts = None
 
     @property
     def characteristic(self) -> int:

@@ -16,8 +16,6 @@ term helpers of gfq.py, _mono_str and _format_term, which also print the
 polynomials in g; the text of each monomial is kept per printing symbols
 and key in a bounded cache, _monomial_text) and substitution through
 cached powers of the images, every term added into one coefficient map.
-UniPoly adds f at a single term whose powers need no reordering to an
-element as one coefficient map (_plus_at): the phi step of autgrp.realize.
 Exponent keys are spelled here and in weyl.py only; the other modules
 read them through _origin and _generators.  A power takes its argument
 check and its k = 0, zero and single-term cases from the base (a term
@@ -183,7 +181,7 @@ def _divided_derivative(coeffs: dict, orders: list, width: int, binom: list,
 
 def _key_times(key, k: int):
     """An exponent key (an int or a tuple) with every exponent times k."""
-    return key * k if isinstance(key, int) else tuple([e * k for e in key])
+    return key * k if isinstance(key, int) else tuple(e * k for e in key)
 
 
 @lru_cache(maxsize=4096)
@@ -271,8 +269,7 @@ class _Sparse:
         out = object.__new__(type(self))
         out.ring = self.ring
         out.coeffs = coeffs
-        shape = self._SHAPE
-        setattr(out, shape, getattr(self, shape))
+        setattr(out, self._SHAPE, self._shape())
         return out
 
     def is_zero(self) -> bool:
@@ -291,7 +288,7 @@ class _Sparse:
     @property
     def degree(self):
         """Total degree; -inf for 0."""
-        return max(map(sum, self.coeffs), default=NEG_INF)
+        return max((sum(k) for k in self.coeffs), default=NEG_INF)
 
     def coefficient(self, key):
         if not isinstance(key, int):
@@ -348,9 +345,7 @@ class _Sparse:
         return self.scale(other)
 
     def scale(self, c):
-        # an element of our own field needs no coercion
-        if type(c) is not FieldElement or c.spec is not self.ring:
-            c = self.ring.coerce(c)
+        c = self.ring.coerce(c)
         if c.is_zero():
             return self._from_nonzero({})
         return self._from_nonzero({k: v * c for k, v in self.coeffs.items()})
@@ -423,15 +418,16 @@ class _Sparse:
     def _substitute(self, images: list, base=None):
         """Image under the ring homomorphism sending key slot k to
         images[k] (elements of any algebra over the same coefficient ring,
-        e.g. polynomials or Weyl elements), added to ``base`` (an element of
-        the images' class, ring and shape, or None for 0).  Powers of each image are
-        computed once and shared by all terms, those of a single-term image
-        by its own power (``**``, no product when the term commutes with
-        itself); a term multiplies its powers in slot order, which matters
-        when the images do not commute.  Every term, times its coefficient
-        (unless that is one), adds into one coefficient map, a constant
-        term at the origin key, so no unit is built and no partial sum is
-        copied; the keys that cancel are dropped once, at the end."""
+        e.g. polynomials or Weyl elements), added to ``base`` (an element
+        of the images' class, ring and shape, or None for 0).  Powers of
+        each image are computed once and shared by all terms, those of a
+        single-term image by its own power (``**``, no product when the
+        term commutes with itself); a term multiplies its powers in slot
+        order, which matters when the images do not commute.  Every term,
+        times its coefficient (unless that is one), adds into one
+        coefficient map, a constant term at the origin key, so no unit is
+        built and no partial sum is copied; the keys that cancel are
+        dropped once, at the end."""
         # index 0 of each cache is never read: a zero exponent is skipped
         powers = [[None, img] for img in images]
         first = images[0]
@@ -444,10 +440,10 @@ class _Sparse:
             for cache, e in zip(powers, exps):
                 if e:
                     while len(cache) <= e:
-                        base = cache[1]
-                        cache.append(base ** len(cache)
-                                     if len(base.coeffs) == 1
-                                     else cache[-1] * base)
+                        img = cache[1]
+                        cache.append(img ** len(cache)
+                                     if len(img.coeffs) == 1
+                                     else cache[-1] * img)
                     term = cache[e] if term is None else term * cache[e]
             if term is None:
                 origin = first._origin
@@ -614,40 +610,7 @@ class UniPoly(_Sparse):
     def substitute(self, value):
         """Evaluate at ``value`` (any element of an algebra over the same
         coefficient ring, e.g. a polynomial or Weyl element)."""
-        return self._plus_at(None, value)
-
-    def _plus_at(self, base, value):
-        """base + f(value), for ``base`` an element of value's class, ring
-        object and shape, or None for 0.  At a single non-constant term
-        c m of our ring object whose powers need no reordering
-        (_commutes), f(c m) = sum_e f_e c^e m^e: its terms, at distinct
-        keys (m's times e) and nonzero, add into one copy of base's
-        coefficient map, with c^e taken by running products up to the
-        degree.  Otherwise f(value) is a substitution into base's map."""
-        coeffs, ring = value.coeffs, self.ring
-        if (len(coeffs) == 1 and value.ring is ring
-                and (base is None or base.ring is ring)):
-            (key, c), = coeffs.items()
-            if key != value._origin and value._commutes(key):
-                powers = None
-                if c != ring.one():
-                    powers = [ring.one()]
-                    for _ in range(max(self.coeffs, default=0)):
-                        powers.append(powers[-1] * c)
-                out = {} if base is None else dict(base.coeffs)
-                get = out.get
-                for e, v in self.coeffs.items():
-                    k = _key_times(key, e)
-                    if powers:
-                        v = powers[e] * v
-                    if (old := get(k)) is None:
-                        out[k] = v
-                    elif (v := old + v).is_zero():
-                        del out[k]
-                    else:
-                        out[k] = v
-                return value._from_nonzero(out)
-        return self._substitute([value], base)
+        return self._substitute([value])
 
 
 class BiPoly(_Sparse):

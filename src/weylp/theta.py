@@ -159,8 +159,7 @@ def theta_inverse(g: UniPoly) -> UniPoly:
     c x^{p^2 (k // p)}, and the term r x^{pJ} of F^{-1}(S) in nu_i,
     i = J mod p, so that F^{-1}(mu_i) and F^{-1}(nu_i) shifted by i put
     c^{1/p} at x^k and r^{1/p} at x^J.  Every term of f goes into one map,
-    and one UniPoly is built from it.  When mu_{p-1} is zero, so is S, and
-    the map holds the p-th roots of g's coefficients alone."""
+    and one UniPoly is built from it."""
     p = _field_only(g, "theta_inverse", 1)
     out, top = {}, {}       # top: mu_{p-1}
     for e, c in g.coeffs.items():
@@ -169,9 +168,6 @@ def theta_inverse(g: UniPoly) -> UniPoly:
             top[p * (k - p + 1)] = c
         else:
             out[k] = c.inv_frobenius()
-    if not top:
-        # mu_{p-1} = 0, so S = 0: no term of f comes from it
-        return UniPoly(g.ring, out, g.var)
     mu = UniPoly(g.ring, top, g.var)
     s = delta_geometric(mu)
     zero = g.ring.zero()

@@ -31,9 +31,7 @@ from that one coded operand.  What a bracket needs besides its operands
 depends only on its shape, the exponent maxima of its operands and the
 orders asked for, and is kept per shape (_weyl_orders, a bounded cache):
 the slot width, and per right operand the orders of a*b and b*a, each with
-its derivative offsets and k!.  The order lists and their entries are kept
-in bounded caches of their own (_planned_orders, _planned_order), so that
-shapes with equal lists, or equal entries, share one.
+its derivative offsets and k!.
 
 Powers over a field, the brute-force p-th powers behind res and the
 identity checks, are a chain acc <- acc * a on rows instead (the operator-
@@ -224,16 +222,20 @@ def _weyl_orders(p: int, n: int, ta: tuple, tbs: tuple, first: int = 0,
     An order k (one per axis, each below p) can contribute to a * b when
     a's d-exponents and b's x-exponents reach it: a only differentiates in
     d's, b in x's; the first is k = 0, the commutative product.  Each order
-    is given as _weyl_mul runs it (_planned_order).  _bracket reads the
-    whole plan, the row chain the orders k of a single b.  The order lists
-    (_planned_orders) and their entries are kept apart from the shapes, so
-    shapes with equal lists share one."""
+    is given as _weyl_mul runs it: k, the bit offsets and orders of b's
+    divided x-derivatives and of a's divided d-derivatives (only the slots
+    with k_s > 0), and k! mod p.  _bracket reads the whole plan, the row
+    chain the orders k of a single b."""
     w = (max(ta) + max(map(max, filter(None, tbs)), default=0)).bit_length()
+    fact = _lucas_tables(p)[1]
 
     def planned(ta, tb):
-        return _planned_orders(p, n, w, tuple([min(p, 1 + ta[n + s], 1 + tb[s])
-                                               for s in range(n)]),
-                               first, last)
+        orders = _iterproduct(*[range(min(p, 1 + ta[n + s], 1 + tb[s]))
+                                for s in range(n)])
+        return tuple((k, tuple((s * w, e) for s, e in enumerate(k) if e),
+                      tuple(((n + s) * w, e) for s, e in enumerate(k) if e),
+                      _prod(fact[e] for e in k) % p)
+                     for k in islice(orders, first, last))
 
     plans = []
     for tb in tbs:
@@ -244,30 +246,6 @@ def _weyl_orders(p: int, n: int, ta: tuple, tbs: tuple, first: int = 0,
         ba = planned(tb, ta) if first else ()
         plans.append((ab, ba, len(ab) + len(ba)))
     return w, tuple(plans)
-
-
-@lru_cache(maxsize=1024)
-def _planned_orders(p: int, n: int, w: int, limits: tuple, first: int,
-                    last: int | None) -> tuple:
-    """The orders k in [first, last) of the product of all k with
-    0 <= k_s < limits[s], as _planned_order gives them; kept per argument
-    tuple, so that equal lists of all shapes are one."""
-    orders = _iterproduct(*map(range, limits))
-    return tuple(_planned_order(p, n, w, k)
-                 for k in islice(orders, first, last))
-
-
-@lru_cache(maxsize=4096)
-def _planned_order(p: int, n: int, w: int, k: tuple) -> tuple:
-    """The order k of the commutation rule as _weyl_mul runs it for A_n
-    keys packed at w bits per slot: k, the bit offsets and orders of b's
-    divided x-derivatives and of a's divided d-derivatives (only the slots
-    with k_s > 0), and k! mod p; kept, one entry for every list that
-    holds it."""
-    fact = _lucas_tables(p)[1]
-    return (k, tuple((s * w, e) for s, e in enumerate(k) if e),
-            tuple(((n + s) * w, e) for s, e in enumerate(k) if e),
-            _prod(fact[e] for e in k) % p)
 
 
 def _maxima(coeffs: dict) -> tuple:
