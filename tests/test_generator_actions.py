@@ -2,8 +2,8 @@
 the centre: realize against the left fold of compose; validate and in_gamma
 against the units they used to build; the words the package assembles
 itself against validated AutWords; kept monomial texts; one hash per
-FieldSpec; bracket plans shared between shapes; kept p-th roots; f(value)
-added to an element; the decompose steps and the affine word."""
+FieldSpec; substitution added into an element; the decompose steps and the
+affine word."""
 
 import pickle
 import random
@@ -343,7 +343,10 @@ class TestSubstituteInto:
         for value in values:
             for _ in range(4):
                 f = random_unipoly(rng, ring, 4)
-                image = f._substitute([value])
+                # sum_e f_e value^e, term by term
+                image = type(value)(ring, {}, value._shape())
+                for e, coef in f.coeffs.items():
+                    image = image + (value ** e).scale(coef)
                 assert f.substitute(value) == image
                 base = type(value)(ring, {value._origin: c}, value._shape())
                 assert f._substitute([value], base) == base + image
