@@ -50,7 +50,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .gfq import FieldElement, FieldSpec
-from .poly import BiPoly, UniPoly, _require_field
+from .poly import BiPoly, UniPoly, _add_terms, _require_field
 from .weyl import WeylElement, jacobian
 
 A1 = "A1"
@@ -382,26 +382,22 @@ def affine_forms(gens, matrix, translation) -> list:
     """The forms sum_j A_ij g_j + a_i in the elements g_j (the generators, or
     the images of the generators under an automorphism) for the affine map
     with matrix A and translation a (entries read in the elements' ring),
-    each built as one coefficient map.  A coefficient one of g_j (each
-    generator's) is not multiplied, and a key that only one term reaches
-    is not added to."""
+    each built as one coefficient map: the terms of each g_j with A_ij
+    nonzero, times A_ij, then a_i at the origin, added by _add_terms, which
+    drops a key as it cancels."""
     _check_affine(matrix, translation, len(gens))
     first = gens[0]
     ring = first.ring
-    coerce, one = ring.coerce, ring.one()
     # the terms of each g_j, then the unit term that the translation scales
-    terms_of = [g.coeffs.items() for g in gens] + [((first._origin, one),)]
+    terms_of = [g.coeffs.items() for g in gens] + [
+        ((first._origin, ring.one()),)]
     forms = []
     for row, a in zip(matrix, translation):
         acc: dict = {}
-        get = acc.get
-        for terms, c in zip(terms_of, map(coerce, (*row, a))):
+        for terms, c in zip(terms_of, map(ring.coerce, (*row, a))):
             if not c.is_zero():
-                for key, v in terms:
-                    t = c if v is one else v * c
-                    acc[key] = t if (s := get(key)) is None else s + t
-        forms.append(first._from_nonzero(
-            {key: c for key, c in acc.items() if not c.is_zero()}))
+                _add_terms(acc, terms, c)
+        forms.append(first._from_nonzero(acc))
     return forms
 
 
@@ -582,15 +578,9 @@ def _leading_scalar(big: BiPoly, small: BiPoly, degree: int):
 
 
 def _minus_scaled(Q: BiPoly, pm: BiPoly, c: FieldElement) -> BiPoly:
-    """Q - c pm in one sum over pm's terms, the keys that cancel dropped."""
-    out = dict(Q.coeffs)
-    zero = Q.ring.zero()
-    for k, v in pm.coeffs.items():
-        if (d := out.get(k, zero) - v * c).is_zero():
-            del out[k]
-        else:
-            out[k] = d
-    return Q._from_nonzero(out)
+    """Q - c pm in one sum over pm's terms, each times -c (_add_terms, which
+    drops the keys that cancel)."""
+    return Q._from_nonzero(_add_terms(dict(Q.coeffs), pm.coeffs.items(), -c))
 
 
 def _affine_word(field: FieldSpec, img_x: BiPoly, img_y: BiPoly) -> list:

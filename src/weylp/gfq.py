@@ -14,9 +14,10 @@ two elements is the int sum or product of their codes, folded back to an
 element by FieldCodec.value.  Inside a polynomial or Weyl product the codes
 are added and multiplied as plain ints and folded once at the end of the
 product.  The fold is a closure built once per field (_folder) over the
-field's constants, with the fold through the modulus and the n coordinates
-written out.  A binary operator takes an element of its own field before
-coercing anything else.
+field's constants, with the fold through the modulus and the coordinates
+written out for n = 2 and run as two short loops for n >= 3.  A binary
+operator takes an element of its own field before coercing anything
+else.
 
 What does not change, an element pays for once: its inverse (one power,
 a^(q-2)) and its text are computed on first use and kept in lists of the
@@ -489,12 +490,12 @@ def _folder(p: int, n: int, images: list):
     the coefficients of g^n .. g^{2n-2} folded through the modulus (the
     coefficient of g^(n+k) times ``images[k]``, the code of the image of
     g^(n+k)), then every coordinate taken mod p.  One closure per n, over
-    the field's constants, with the fold and the n coordinates written out:
-    no loop per call."""
-    M = _CODE_MASK
-    # bit offsets of the coordinates, the coefficients of g^1 .. g^6
-    s1, s2, s3, s4, s5, s6 = (CODE_STRIDE * i for i in range(1, 7))
-    low = (1 << CODE_STRIDE * n) - 1
+    the field's constants: the residue for n = 1, the fold and the two
+    coordinates written out for n = 2 (the extension fields a restriction
+    pass meets most), and for n >= 3 one loop over the fold images and one
+    over the coordinates, from the top down (Horner in p)."""
+    M, S = _CODE_MASK, CODE_STRIDE
+    low = (1 << S * n) - 1
     if n == 1:
         def value(code: int) -> int:
             return code % p
@@ -502,23 +503,19 @@ def _folder(p: int, n: int, images: list):
         (f0,) = images
 
         def value(code: int) -> int:
-            r = (code & low) + (code >> s2 & M) * f0
-            return (r & M) % p + (r >> s1 & M) % p * p
-    elif n == 3:
-        f0, f1 = images
-        p2 = p * p
-
-        def value(code: int) -> int:
-            r = (code & low) + (code >> s3 & M) * f0 + (code >> s4 & M) * f1
-            return ((r & M) % p + (r >> s1 & M) % p * p
-                    + (r >> s2 & M) % p * p2)
+            r = (code & low) + (code >> 2 * S & M) * f0
+            return (r & M) % p + (r >> S & M) % p * p
     else:
-        f0, f1, f2 = images
-        p2, p3 = p * p, p ** 3
+        # (bit offset of g^(n+k), images[k]); bit offsets of g^(n-1) .. 1
+        folds = [(S * (n + k), f) for k, f in enumerate(images)]
+        tops = [S * i for i in range(n - 1, -1, -1)]
 
         def value(code: int) -> int:
-            r = ((code & low) + (code >> s4 & M) * f0
-                 + (code >> s5 & M) * f1 + (code >> s6 & M) * f2)
-            return ((r & M) % p + (r >> s1 & M) % p * p
-                    + (r >> s2 & M) % p * p2 + (r >> s3 & M) % p * p3)
+            r = code & low
+            for s, f in folds:
+                r += (code >> s & M) * f
+            v = 0
+            for s in tops:
+                v = v * p + (r >> s & M) % p
+            return v
     return value

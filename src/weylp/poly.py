@@ -8,14 +8,18 @@ the constructors zero, one and constant (at the origin key, _origin, that
 each class names), the generators of the tuple-key classes (_generators:
 one unit key per slot, built once per class, ring object and shape and
 shared by every caller, BiPoly.gens and the A_n generators among them),
-the lift from_unipoly of f(x) into the first generator, addition (which
-drops the keys that cancel, so that no sum is filtered again), negation,
-scaling, powers, equality, the test against the unit on the coefficient
-map (_is_one, which builds no unit), the canonical printer (through the
-term helpers of gfq.py, _mono_str and _format_term, which also print the
-polynomials in g; the text of each monomial is kept per printing symbols
-and key in a bounded cache, _monomial_text) and substitution through
-cached powers of the images, every term added into one coefficient map.
+the lift from_unipoly of f(x) into the first generator, addition,
+negation, scaling, powers, equality, the test against the unit on the
+coefficient map (_is_one, which builds no unit), the canonical printer
+(through the term helpers of gfq.py, _mono_str and _format_term, which
+also print the polynomials in g; the text of each monomial is kept per
+printing symbols and key in a bounded cache, _monomial_text) and
+substitution through cached powers of the images, every term added into
+one coefficient map.  Every sum of coefficient maps is one rule,
+_add_terms: terms, each times an optional factor on the left, added into
+a map that drops a key as it cancels, so that no sum is filtered again.
+Addition, substitution, autgrp's affine forms and decomposition steps and
+theta's inverse add through it.
 Exponent keys are spelled here and in weyl.py only; the other modules
 read them through _origin and _generators.  A power takes its argument
 check and its k = 0, zero and single-term cases from the base (a term
@@ -184,6 +188,25 @@ def _key_times(key, k: int):
     return key * k if isinstance(key, int) else tuple(e * k for e in key)
 
 
+def _add_terms(acc: dict, terms, c=None) -> dict:
+    """acc += the terms (key, v) of ``terms``, each as c * v unless ``c``
+    is None (the factor on the left, so a product holds c's ring's own
+    element): a key that acc lacks takes the term itself, and a key whose
+    sum is zero is deleted, so nonzero terms (and a nonzero c) leave acc
+    with only nonzero coefficients and no filtering pass.  Returns acc."""
+    get = acc.get
+    for k, v in terms:
+        if c is not None:
+            v = c * v
+        if (cur := get(k)) is None:
+            acc[k] = v
+        elif (v := cur + v).is_zero():
+            del acc[k]
+        else:
+            acc[k] = v
+    return acc
+
+
 @lru_cache(maxsize=4096)
 def _monomial_text(names: tuple, key) -> str:
     """The monomial of the exponent key ``key`` (an int or a tuple) in the
@@ -310,20 +333,11 @@ class _Sparse:
         if not self._same_kind(other):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        # over an equal ring built separately, keys only ``other`` has are
-        # added to our zero, so the sum holds our ring's own elements; only
-        # a key both operands hold can cancel
-        zero = None if other.ring is self.ring else self.ring.zero()
-        for k, c in other.coeffs.items():
-            cur = out.get(k, zero)
-            if cur is None:
-                out[k] = c
-            elif (c := cur + c).is_zero():
-                del out[k]
-            else:
-                out[k] = c
-        return self._from_nonzero(out)
+        # over an equal ring built separately, other's terms are taken
+        # times our one, so the sum holds our ring's own elements
+        one = None if other.ring is self.ring else self.ring.one()
+        return self._from_nonzero(
+            _add_terms(dict(self.coeffs), other.coeffs.items(), one))
 
     # a field and K[t] have no zero divisors: negating, or scaling by a
     # nonzero c, keeps every coefficient nonzero
@@ -425,15 +439,14 @@ class _Sparse:
         term commutes with itself); a term multiplies its powers in slot
         order, which matters when the images do not commute.  Every term,
         times its coefficient (unless that is one), adds into one
-        coefficient map, a constant term at the origin key, so no unit is
-        built and no partial sum is copied; the keys that cancel are
-        dropped once, at the end."""
+        coefficient map by _add_terms, a constant term at the origin key,
+        so no unit is built, no partial sum is copied and a key that
+        cancels is dropped as it cancels."""
         # index 0 of each cache is never read: a zero exponent is skipped
         powers = [[None, img] for img in images]
         first = images[0]
-        one, zero = self.ring.one(), first.ring.zero()
+        one = self.ring.one()
         acc: dict = {} if base is None else dict(base.coeffs)
-        get = acc.get
         for key, c in self.coeffs.items():
             term = None
             exps = (key,) if isinstance(key, int) else key
@@ -446,16 +459,11 @@ class _Sparse:
                                      else cache[-1] * img)
                     term = cache[e] if term is None else term * cache[e]
             if term is None:
-                origin = first._origin
-                acc[origin] = get(origin, zero) + c
-            elif c is one or c == one:
-                for k, v in term.coeffs.items():
-                    acc[k] = get(k, zero) + v
+                _add_terms(acc, ((first._origin, c),))
             else:
-                for k, v in term.coeffs.items():
-                    acc[k] = get(k, zero) + v * c
-        return first._from_nonzero(
-            {k: v for k, v in acc.items() if not v.is_zero()})
+                _add_terms(acc, term.coeffs.items(),
+                           None if c is one or c == one else c)
+        return first._from_nonzero(acc)
 
     def _lower(self, slot: int, k: int, factor):
         """The derivative rule: each term with exponent e in key slot

@@ -35,7 +35,13 @@ class ResResult(Record):
 
 
 def res(a: AutImages) -> ResResult:
-    """Restrict an A_1 automorphism to the centre by brute-force p-th powers."""
+    """Restrict an A_1 automorphism to the centre by brute-force p-th powers.
+
+    The input is validated by [d', x'] = 1 alone, which in characteristic
+    p does not make an endomorphism an automorphism: (x + x^p, d) passes,
+    and its image (X + X^p, Y) is what res_inverse and decompose then
+    refuse as a stalled degree reduction (ROADMAP item 12, res by
+    decomposition, closes this)."""
     if a.target != A1:
         raise ValueError("res acts on A_1 automorphisms")
     a.validate()

@@ -28,7 +28,7 @@ term of g) is kept alongside as an independent oracle.
 
 from __future__ import annotations
 
-from .poly import UniPoly, _require_field
+from .poly import UniPoly, _add_terms, _require_field
 
 
 def _require_support(f: UniPoly, modulo: int, what: str):
@@ -159,7 +159,8 @@ def theta_inverse(g: UniPoly) -> UniPoly:
     c x^{p^2 (k // p)}, and the term r x^{pJ} of F^{-1}(S) in nu_i,
     i = J mod p, so that F^{-1}(mu_i) and F^{-1}(nu_i) shifted by i put
     c^{1/p} at x^k and r^{1/p} at x^J.  Every term of f goes into one map,
-    and one UniPoly is built from it."""
+    the nu terms added to the mu terms by _add_terms (which drops a key
+    that cancels), and one UniPoly is built from it."""
     p = _field_only(g, "theta_inverse", 1)
     out, top = {}, {}       # top: mu_{p-1}
     for e, c in g.coeffs.items():
@@ -170,13 +171,12 @@ def theta_inverse(g: UniPoly) -> UniPoly:
             out[k] = c.inv_frobenius()
     mu = UniPoly(g.ring, top, g.var)
     s = delta_geometric(mu)
-    zero = g.ring.zero()
     for e, c in s.coeffs.items():
         r, J = c.inv_frobenius(), e // (p * p)
         # nu_i shifted by p i + p - 1 puts r at x^{pJ + p - 1}; nu_{p-1}
         # is not part of the formula
         if J % p != p - 1:
-            out[J] = out.get(J, zero) + r.inv_frobenius()
+            _add_terms(out, ((J, r.inv_frobenius()),))
             out[p * J + p - 1] = r
     # the rest of lambda_{p-1} x^{p-1}: (S - mu_{p-1}) x^{p^2 - 1}
     for e, c in (s - mu).coeffs.items():

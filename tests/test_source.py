@@ -206,3 +206,17 @@ def test_one_coded_pass():
                            and node.value.id == "layout")):
                 found["decode"].add(where)
     assert found == allowed
+
+
+def test_one_sum_of_coefficient_maps():
+    """Every sum of coefficient maps runs through one rule: _add_terms is
+    named only in the sum of two elements, substitution, the affine forms,
+    the decomposition's step Q - c P^m and theta's inverse."""
+    found = set()
+    for path in MODULES:
+        for scope, node in _scoped(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and node.id == "_add_terms":
+                found.add("%s.%s" % (path.stem, scope))
+    assert found == {"poly._Sparse.__add__", "poly._Sparse._substitute",
+                     "autgrp.affine_forms", "autgrp._minus_scaled",
+                     "theta.theta_inverse"}
