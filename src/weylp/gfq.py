@@ -11,13 +11,13 @@ builds its FieldCodec, which codes every element as an int; arithmetic then
 only ever hands out interned values, so equal elements are identical
 objects.  There is one arithmetic, through the codes: a sum or product of
 two elements is the int sum or product of their codes, folded back to an
-element by FieldCodec.value.  Inside a polynomial or Weyl product the codes
+element by FieldCodec.value; a difference is the sum with the negation,
+not one fold of its own.  Inside a polynomial or Weyl product the codes
 are added and multiplied as plain ints and folded once at the end of the
 product.  The fold is a closure built once per field (_folder) over the
 field's constants, with the fold through the modulus and the coordinates
-written out for n = 2 and run as two short loops for n >= 3.  A binary
-operator takes an element of its own field before coercing anything
-else.
+written out for n = 2 and run as two short loops for n >= 3.  A sum or
+product takes an element of its own field before coercing anything else.
 
 What does not change, an element pays for once: its inverse (one power,
 a^(q-2)) and its text are computed on first use and kept in lists of the
@@ -145,8 +145,8 @@ class FieldElement:
             return spec.from_int(other)
         return None
 
-    # each binary operator takes an element of its own FieldSpec, the
-    # operand it nearly always meets, before _coerce
+    # a sum or product takes an element of its own FieldSpec, the operand
+    # it nearly always meets, before _coerce
 
     def __add__(self, other):
         spec = self.spec
@@ -167,15 +167,10 @@ class FieldElement:
         return spec._elts[codec.value(codec._codes[self.val] * (spec.p - 1))]
 
     def __sub__(self, other):
-        spec = self.spec
-        if type(other) is not FieldElement or other.spec is not spec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        codec = spec.codec
-        codes = codec._codes
-        return spec._elts[codec.value(
-            codes[self.val] + codes[other.val] * (spec.p - 1))]
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -247,8 +242,6 @@ class FieldElement:
         return self ** (spec.p ** (spec.n - 1))
 
     def __eq__(self, other) -> bool:
-        if type(other) is FieldElement and other.spec is self.spec:
-            return self.val == other.val
         if isinstance(other, FieldElement):
             return self.val == other.val and (
                 self.spec is other.spec or self.spec == other.spec)
@@ -405,8 +398,9 @@ class FieldCodec:
     then every coordinate mod p; it is a closure (_folder) over constants
     fixed when the codec is built, the codes of the images of g^n ..
     g^{2n-2} among them, with no loop per call.  FieldElement's sum,
-    difference, negation and product are one int operation on codes and one
-    fold; inside a polynomial or Weyl product, codes (code(), or encode() for
+    negation and product are one int operation on codes and one fold (a
+    difference is the sum with the negation, two of them); inside a
+    polynomial or Weyl product, codes (code(), or encode() for
     a whole map) are added and multiplied as plain ints and decode() folds
     once per product, unpacking the packed keys in the same pass.
     check_pairs() guards the stride, which only codes of F_{p^n}, n > 1,

@@ -39,12 +39,14 @@ for K[t]); UniPoly's int keys need no packing and go in through
 codec.encode.  The kernel only adds and multiplies codes.  Coming out,
 codec.decode reduces each code once, drops the zeros, hands back the
 ring's own interned elements and unpacks the key, all in one loop, so the
-result is built without the constructor's filtering pass.  UniPoly and
-BiPoly hand the kernel their operands; WeylElement hands it the divided
-derivatives of its commutation rule, taken on the packed keys and codes by
-_divided_derivative (its powers over a field run on packed rows instead,
-in weyl.py).  The jacobian of K[X, Y] is the order-1 term of a Weyl
-commutator and runs in weyl.py's coded pass.
+result is built without the constructor's filtering pass.  UniPoly alone
+hands the kernel its operands; every tuple-key product runs through
+weyl.py's one coded pass, _bracket, which hands it the divided
+derivatives of the A_1 or A_2 commutation rule, taken on the packed keys
+and codes by _divided_derivative (powers over a field run on packed rows
+instead, in weyl.py).  With X and Y read as x and d (gr A_1 = K[x, d]),
+the product and the jacobian of K[X, Y] are the orders 0 and 1 of that
+rule.
 
 Also here is the characteristic-p tooling everything above is built from:
 the derivative rule on elements, _Sparse._lower, which lowers one key slot
@@ -133,13 +135,6 @@ def _mul_into(acc: dict, a: dict, b: dict, zero=0) -> dict:
             e = e1 + e2
             acc[e] = get(e, zero) + c1 * c2
     return acc
-
-
-def _width(a: dict, b: dict) -> int:
-    """Bits per slot for packing the tuple keys of a product of a and b:
-    enough for the sum of the largest exponents (0 for an empty map), so
-    sums never carry."""
-    return sum(max(map(max, m), default=0) for m in (a, b)).bit_length()
 
 
 def _coded(codec, coeffs: dict, width: int) -> dict:
@@ -445,9 +440,14 @@ class _Sparse:
         # index 0 of each cache is never read: a zero exponent is skipped
         powers = [[None, img] for img in images]
         first = images[0]
-        one = self.ring.one()
+        one = first.ring.one()
+        # over an equal ring built separately, each coefficient is taken
+        # times the images' one, so the image holds their ring's elements
+        lift = None if first.ring is self.ring else one
         acc: dict = {} if base is None else dict(base.coeffs)
         for key, c in self.coeffs.items():
+            if lift is not None:
+                c = lift * c
             term = None
             exps = (key,) if isinstance(key, int) else key
             for cache, e in zip(powers, exps):
@@ -643,11 +643,11 @@ class BiPoly(_Sparse):
     __mul__ = _Sparse.__mul__
 
     def _product(self, other: "BiPoly") -> "BiPoly":
-        a, b = self.coeffs, other.coeffs
-        codec, w = self.ring.codec, _width(a, b)
-        codec.check_pairs(min(len(a), len(b)))
-        return self._from_nonzero(codec.decode(_mul_into(
-            {}, _coded(codec, a, w), _coded(codec, b, w), codec.zero), w, 2))
+        # order 0 of the A_1 bracket, with X, Y read as x, d, as jacobian
+        # is order 1; weyl imports this module, so the import waits
+        from .weyl import _bracket
+        return self._from_nonzero(
+            _bracket(self.ring, 1, self.coeffs, (other.coeffs,), 0, 1)[0])
 
     def derivative(self, axis: int, k: int = 1) -> "BiPoly":
         """k-th formal partial derivative along axis 0 or 1."""

@@ -18,14 +18,15 @@ binom(m mod p, k) from a p x p table kept per p (k < p), scales the codes
 by k! and hands the pair to the shared product kernel poly._mul_into.
 Every k accumulates into one map of unreduced codes, which the codec
 reduces and unpacks in one pass at the end.  The product, the commutator
-[a, b] and the jacobian of K[X, Y] are one routine on coefficient maps,
-_bracket, and differ only in the orders they run: the order-0 terms of a*b
-and b*a are the same commutative product and cancel, so a commutator runs
-the orders k != 0 of a*b, then those of b*a with k! times p - 1 (codes
-stay non-negative), into one accumulator.  With X and Y read as x and d,
-the jacobian P_X Q_Y - P_Y Q_X is the order-1 term of [Q, P] (which is
-why res, keeping [d, x] = 1, lands in jacobian 1), and jacobian runs that
-order alone.  _bracket takes a sequence of right operands against one left
+[a, b], and the product and jacobian of K[X, Y] are one routine on
+coefficient maps, _bracket, and differ only in the orders they run: the
+order-0 terms of a*b and b*a are the same commutative product and cancel,
+so a commutator runs the orders k != 0 of a*b, then those of b*a with k!
+times p - 1 (codes stay non-negative), into one accumulator.  With X and
+Y read as x and d (gr A_1 = K[x, d]), the product of K[X, Y] is order 0
+of the A_1 rule, and the jacobian P_X Q_Y - P_Y Q_X the order-1 term of
+[Q, P] (which is why res, keeping [d, x] = 1, lands in jacobian 1); each
+runs that order alone.  _bracket takes a sequence of right operands against one left
 one, packed and coded once: is_central runs its 2n generator commutators
 from that one coded operand.  What a bracket needs besides its operands
 depends only on its shape, the exponent maxima of its operands and the
@@ -265,7 +266,8 @@ def _bracket(ring, n: int, a: dict, bs, first: int,
     non-negative), for the coefficient maps of A_n elements over ``ring``:
     a packed and coded once for all of bs, each b once, every order of one
     b into one accumulator, decoded once.  The product for first = 0, the
-    commutator [a, b] for first = 1, the jacobian for n = 1, first = 1,
+    commutator [a, b] for first = 1; on the keys of K[X, Y] (n = 1), its
+    product for first = 0, last = 1 and the jacobian for first = 1,
     last = 2; is_central runs the 2n generators of A_n as bs.  The slot
     width and each order's derivative offsets and k! come from the plan
     kept per shape (_weyl_orders); the stride guard runs only where the

@@ -184,16 +184,14 @@ def _scoped(tree):
 
 def test_one_coded_pass():
     """Every product reaches the kernel in one coded pass: _mul_into is
-    named only in the two polynomial _products and weyl._weyl_mul, which
-    only weyl._bracket names (the Weyl product, the commutator and the
-    jacobian), and codes are decoded only there (_row_power's rows are
-    decoded by their own layout, not a codec)."""
+    named only in UniPoly._product and weyl._weyl_mul, which only
+    weyl._bracket names (the Weyl product, the commutator, the jacobian
+    and the product of K[X, Y]), and codes are decoded only there
+    (_row_power's rows are decoded by their own layout, not a codec)."""
     allowed = {
-        "_mul_into": {"poly.UniPoly._product", "poly.BiPoly._product",
-                      "weyl._weyl_mul"},
+        "_mul_into": {"poly.UniPoly._product", "weyl._weyl_mul"},
         "_weyl_mul": {"weyl._bracket"},
-        "decode": {"poly.UniPoly._product", "poly.BiPoly._product",
-                   "weyl._bracket"},
+        "decode": {"poly.UniPoly._product", "weyl._bracket"},
     }
     found = {name: set() for name in allowed}
     for path in MODULES:
