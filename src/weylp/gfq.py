@@ -400,9 +400,9 @@ class FieldCodec:
     g^{2n-2} among them, with no loop per call.  FieldElement's sum,
     negation and product are one int operation on codes and one fold (a
     difference is the sum with the negation, two of them); inside a
-    polynomial or Weyl product, codes (code(), or encode() for
-    a whole map) are added and multiplied as plain ints and decode() folds
-    once per product, unpacking the packed keys in the same pass.
+    polynomial or Weyl product, codes (code(), or encode() for a whole
+    map) are added and multiplied as plain ints and decode() folds once
+    per product, unpacking the packed keys in the same pass.
     check_pairs() guards the stride, which only codes of F_{p^n}, n > 1,
     have (``strided``).
     """

@@ -26,13 +26,13 @@ times p - 1 (codes stay non-negative), into one accumulator.  With X and
 Y read as x and d (gr A_1 = K[x, d]), the product of K[X, Y] is order 0
 of the A_1 rule, and the jacobian P_X Q_Y - P_Y Q_X the order-1 term of
 [Q, P] (which is why res, keeping [d, x] = 1, lands in jacobian 1); each
-runs that order alone.  _bracket takes a sequence of right operands against one left
-one, packed and coded once: is_central runs its 2n generator commutators
-from that one coded operand.  What a bracket needs besides its operands
-depends only on its shape, the exponent maxima of its operands and the
-orders asked for, and is kept per shape (_weyl_orders, a bounded cache):
-the slot width, and per right operand the orders of a*b and b*a, each with
-its derivative offsets and k!.
+runs that order alone.  _bracket takes a sequence of right operands
+against one left one, packed and coded once: is_central runs its 2n
+generator commutators from that one coded operand.  What a bracket needs
+besides its operands depends only on its shape, the exponent maxima of its
+operands and the orders asked for, and is kept per shape (_weyl_orders, a
+bounded cache): the slot width, and per right operand the orders of a*b
+and b*a, each with its derivative offsets and k!.
 
 Powers over a field, the brute-force p-th powers behind res and the
 identity checks, are a chain acc <- acc * a on rows instead (the operator-
